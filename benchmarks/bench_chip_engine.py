@@ -1,21 +1,20 @@
 """Benchmark: batched chip-simulation engine vs the per-sample tick loop.
 
 Times the paper's "ground truth" path — cycle-accurate TrueNorth chip
-simulation of a deployed test-bench network — on the batched engine
-(:func:`repro.mapping.pipeline.run_chip_inference_batch`, one crossbar
-matmul per core per tick for the whole batch) against the original
-per-sample loop (:func:`repro.mapping.pipeline.run_chip_inference`, one
-chip pass per sample), verifies the two per-sample class-count tensors and
-the per-core spike counters are bit-identical, and records the result to a
-JSON file for CI tracking.
+simulation of a deployed test-bench network — on the batched engine (one
+copy through :func:`repro.mapping.pipeline.run_chip_inference_multicopy`,
+one crossbar matmul per core per tick for the whole batch) against the
+per-sample scalar loop of the test suite's oracle (``tests/chip_oracle.py``,
+one sample, one tick, one core at a time), verifies the two per-sample
+class-count tensors and the per-core spike counters are bit-identical,
+and records the result to a JSON file for CI tracking.
 
 A second section times the **multi-copy** engine: ``--copies C`` sampled
 copies programmed side by side into one chip image and advanced as one
-``C * samples`` lock-step batch
-(:func:`repro.mapping.pipeline.run_chip_inference_multicopy`) against the
-one-chip-per-copy loop (C ``program_chip`` + ``run_chip_inference_batch``
-passes), again enforcing bit-identical per-copy class counts and per-core
-spike counters.  Both records land in the same JSON file.
+``C * samples`` lock-step batch against C single-copy passes (one
+``program_chip_multicopy([copy])`` + pass per copy), again enforcing
+bit-identical per-copy class counts and per-core spike counters.  Both
+records land in the same JSON file.
 
 A third section (``--grid``) times a full ``(copies, spf, repeats)``
 **grid sweep**: the repeat-folded single-pass path (all repeats' copies in
@@ -45,7 +44,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -54,12 +55,12 @@ from repro.experiments.runner import ExperimentContext
 from repro.mapping.deploy import deploy_model
 from repro.mapping.duplication import deploy_with_copies
 from repro.mapping.pipeline import (
-    program_chip,
     program_chip_multicopy,
-    run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from chip_oracle import simulate
 
 
 def parse_args() -> argparse.Namespace:
@@ -146,7 +147,7 @@ def main() -> None:
     model = context.result("tea").model
     dataset = context.evaluation_dataset()
     deployed = deploy_model(model, rng=0)
-    chip, core_ids = program_chip(deployed)
+    chip, core_ids = program_chip_multicopy([deployed])
     core_order = [core_id for layer in core_ids for core_id in layer]
 
     encoder = StochasticEncoder(spikes_per_frame=args.spf)
@@ -155,23 +156,19 @@ def main() -> None:
     samples = volumes.shape[0]
 
     start = time.perf_counter()
-    loop_counts = np.zeros((samples, deployed.corelet_network.num_classes), np.int64)
-    loop_spikes = np.zeros((samples, len(core_order)), dtype=np.int64)
-    for index in range(samples):
-        loop_counts[index] = run_chip_inference(
-            chip, deployed, core_ids, volumes[index]
-        )
-        loop_spikes[index] = [chip.core(c).spike_count for c in core_order]
+    oracle = simulate(deployed, volumes, router_delay=chip.router.delay)
     loop_seconds = time.perf_counter() - start
 
     batch_times = []
     for _ in range(args.batch_repeats):
         start = time.perf_counter()
-        batch_counts = run_chip_inference_batch(chip, deployed, core_ids, volumes)
+        batch_counts = run_chip_inference_multicopy(
+            chip, [deployed], core_ids, volumes
+        )[0]
         batch_times.append(time.perf_counter() - start)
     batch_seconds = min(batch_times)
     batch_spikes = np.stack(
-        [chip.core(c).batch_spike_counts for c in core_order], axis=1
+        [chip.core(c).multicopy_spike_counts[0] for c in core_order], axis=1
     )
 
     multicopy_record = None
@@ -197,8 +194,8 @@ def main() -> None:
             best_of=args.batch_repeats,
         )
 
-    counts_identical = bool(np.array_equal(loop_counts, batch_counts))
-    spikes_identical = bool(np.array_equal(loop_spikes, batch_spikes))
+    counts_identical = bool(np.array_equal(oracle.class_counts, batch_counts))
+    spikes_identical = bool(np.array_equal(oracle.core_spikes, batch_spikes))
     record = {
         "benchmark": "chip-engine",
         "config": {
@@ -262,7 +259,7 @@ def main() -> None:
 
 
 def bench_multicopy(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
-    """Time one multi-copy chip pass against the one-chip-per-copy loop.
+    """Time one multi-copy chip pass against C single-copy passes.
 
     Both sides include chip programming (that is the end-to-end cost a
     (copies, spf) sweep pays per grid point) and both report per-copy class
@@ -273,11 +270,13 @@ def bench_multicopy(model, volumes: np.ndarray, copies: int, repeats: int) -> di
     def percopy_pass():
         counts, spikes = [], []
         for copy in deployment.copies:
-            chip, core_ids = program_chip(copy)
-            counts.append(run_chip_inference_batch(chip, copy, core_ids, volumes))
+            chip, core_ids = program_chip_multicopy([copy])
+            counts.append(
+                run_chip_inference_multicopy(chip, [copy], core_ids, volumes)[0]
+            )
             order = [cid for layer in core_ids for cid in layer]
             spikes.append(
-                np.stack([chip.core(k).batch_spike_counts for k in order])
+                np.stack([chip.core(k).multicopy_spike_counts[0] for k in order])
             )
         return np.stack(counts), np.stack(spikes)
 

@@ -6,9 +6,9 @@ equivalence invariant:
 
 * ``vectorized`` — score tensors bit-identical to the ``reference`` loop;
 * ``chip`` — integer readout class counts bit-identical to ``vectorized``,
-  and the default multi-copy chip image bit-identical (counts and per-core
-  spike counters, deterministic and stochastic-synapse mode) to the
-  one-chip-per-copy loop (``ChipBackend(multicopy=False)``);
+  and the multi-copy chip image bit-identical (counts and per-core spike
+  counters, deterministic and stochastic-synapse mode) to the test suite's
+  per-sample scalar oracle (``tests/chip_oracle.py``);
 * ``board`` — counts, spike counters, and accuracy bit-identical to the
   ``chip`` backend on the same request (deterministic and
   stochastic-synapse mode), and still identical on chips small enough to
@@ -29,15 +29,19 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from dataclasses import replace
-
-from repro.api import BoardBackend, ChipBackend, EvalRequest, Session, backend_names
+from repro.api import BoardBackend, EvalRequest, Session, backend_names
 from repro.experiments.runner import ExperimentContext
 from repro.truenorth.config import ChipConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from chip_oracle import simulate_request
 
 
 def parse_args() -> argparse.Namespace:
@@ -94,22 +98,22 @@ def main() -> None:
         vectorized = session.evaluate(request, backend="vectorized")
         if not np.array_equal(result.class_counts(), vectorized.class_counts()):
             failures.append("chip class counts diverged from the vectorized engine")
-        # Multi-copy image vs one-chip-per-copy loop, spike counters
+        # Multi-copy image vs the per-sample scalar oracle, spike counters
         # included, deterministic and stochastic-synapse mode.
         counters = replace(request, collect_spike_counters=True)
         for variant in (counters, replace(counters, stochastic_synapses=True)):
             multi = session.evaluate(variant, backend="chip")
-            percopy = ChipBackend(multicopy=False).evaluate(variant)
+            oracle_counts, oracle_counters = simulate_request(variant)
             label = "stochastic" if variant.stochastic_synapses else "deterministic"
-            if not np.array_equal(multi.class_counts(), percopy.class_counts()):
+            if not np.array_equal(multi.class_counts(), oracle_counts):
                 failures.append(
                     f"multi-copy chip class counts diverged from the "
-                    f"per-copy loop ({label})"
+                    f"scalar oracle ({label})"
                 )
-            if not np.array_equal(multi.spike_counters, percopy.spike_counters):
+            if not np.array_equal(multi.spike_counters, oracle_counters):
                 failures.append(
                     f"multi-copy chip spike counters diverged from the "
-                    f"per-copy loop ({label})"
+                    f"scalar oracle ({label})"
                 )
         # Grid path: a multi-spf request (one folded pass per level) must
         # match the stack of single-level requests cell for cell.
@@ -128,7 +132,7 @@ def main() -> None:
                 )
         invariant = (
             "class counts bit-identical to vectorized; multi-copy image "
-            "bit-identical to per-copy loop (incl. stochastic synapses); "
+            "bit-identical to the scalar oracle (incl. stochastic synapses); "
             "spf grid bit-identical to single-level requests"
         )
     elif args.backend == "board":

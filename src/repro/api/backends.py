@@ -20,9 +20,7 @@ Four backends wrap the repo's evaluation engines behind one
   streams.  Full ``(copies, spf, repeats)`` grids are served in
   ``len(spf_levels)`` passes (one folded pass per level, optionally
   fanned over worker processes); copy and repeat levels fall out of one
-  pass via exact integer cumsums.  ``ChipBackend(multicopy=False)``
-  keeps the bit-identical one-chip-per-copy loop the property tests pin
-  the engine against.
+  pass via exact integer cumsums.
 * ``board`` — the multi-chip board mesh
   (:func:`repro.mapping.pipeline.run_board_inference_multicopy`):
   duplication sweeps whose core footprint overflows one chip spill onto a
@@ -65,10 +63,8 @@ from repro.mapping.placement import place_on_board
 from repro.mapping.pipeline import (
     board_spike_counters,
     program_board_multicopy,
-    program_chip,
     program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
     stochastic_neuron_config,
 )
@@ -345,7 +341,6 @@ def _evaluate_chip_level(
     repeat_rngs: List[np.random.Generator],
     network: CoreletNetwork,
     max_copies: int,
-    multicopy: bool,
     stochastic: bool,
     collect_counters: bool,
     router_delay: Optional[int],
@@ -360,11 +355,10 @@ def _evaluate_chip_level(
     Returns ``(counts, counters)`` with ``counts`` shaped
     ``(repeats, max_copies, batch, classes)`` (integer readout counts) and
     ``counters`` shaped ``(repeats, max_copies, cores_per_copy, batch)`` or
-    ``None``.  In multicopy mode the ``repeats * max_copies`` copies of all
-    repeats are programmed side by side into **one** chip image and the
-    stacked per-repeat input volumes ride the chip's grouped-input form
-    (repeat ``r``'s volume feeds exactly its block of ``max_copies``
-    copy rows); ``multicopy=False`` keeps the one-chip-per-copy loop.
+    ``None``.  The ``repeats * max_copies`` copies of all repeats are
+    programmed side by side into **one** chip image and the stacked
+    per-repeat input volumes ride the chip's grouped-input form (repeat
+    ``r``'s volume feeds exactly its block of ``max_copies`` copy rows).
     """
     encoder = StochasticEncoder(spikes_per_frame=spf)
     neuron_config = stochastic_neuron_config(network) if stochastic else None
@@ -383,9 +377,7 @@ def _evaluate_chip_level(
         volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
         if copy_seeds is not None:
             # Drawn after deployment and encoding so deterministic requests
-            # keep their exact historical streams; identical in both chip
-            # modes, which is what keeps them bit-identical to each other.
-            # Sampled *without* replacement — the LFSR seed space is only
+            # keep their exact historical streams.  Sampled *without* replacement — the LFSR seed space is only
             # 16 bits, and two copies sharing a seed would replay
             # byte-identical streams, silently collapsing the
             # copies-averaging statistic the sweep measures.  (Repeats may
@@ -398,73 +390,35 @@ def _evaluate_chip_level(
                 )
             )
     batch = volumes[0].shape[0]
-    if multicopy:
-        flat_copies = [copy for d in deployments for copy in d.copies]
-        chip, core_ids = program_chip_multicopy(
-            flat_copies, neuron_config=neuron_config, router_delay=router_delay
-        )
-        counts = run_chip_inference_multicopy(
-            chip, flat_copies, core_ids, np.stack(volumes), copy_seeds=copy_seeds
-        )
-        counters = None
-        if collect_counters:
-            flat_ids = [cid for layer in core_ids for cid in layer]
-            stacked = np.stack(
-                [chip.core(cid).multicopy_spike_counts for cid in flat_ids],
-                axis=1,
-            )  # (repeats * max_copies, cores_per_copy, batch)
-            counters = stacked.reshape(
-                (repeats, max_copies) + stacked.shape[1:]
-            )
-        return counts.reshape(repeats, max_copies, batch, -1), counters
-    per_repeat_counts: List[np.ndarray] = []
-    per_repeat_counters: List[np.ndarray] = []
-    for index, deployment in enumerate(deployments):
-        per_copy_counts: List[np.ndarray] = []
-        per_copy_counters: List[np.ndarray] = []
-        for offset, copy in enumerate(deployment.copies):
-            chip, core_ids = program_chip(
-                copy,
-                neuron_config=neuron_config,
-                router_delay=router_delay,
-                core_seed=0
-                if copy_seeds is None
-                else copy_seeds[index * max_copies + offset],
-            )
-            per_copy_counts.append(
-                run_chip_inference_batch(chip, copy, core_ids, volumes[index])
-            )
-            if collect_counters:
-                flat_ids = [cid for layer in core_ids for cid in layer]
-                per_copy_counters.append(
-                    np.stack(
-                        [chip.core(cid).batch_spike_counts for cid in flat_ids]
-                    )
-                )
-        per_repeat_counts.append(np.stack(per_copy_counts))
-        if collect_counters:
-            per_repeat_counters.append(np.stack(per_copy_counters))
-    return (
-        np.stack(per_repeat_counts),
-        np.stack(per_repeat_counters) if collect_counters else None,
+    flat_copies = [copy for d in deployments for copy in d.copies]
+    chip, core_ids = program_chip_multicopy(
+        flat_copies, neuron_config=neuron_config, router_delay=router_delay
     )
+    counts = run_chip_inference_multicopy(
+        chip, flat_copies, core_ids, np.stack(volumes), copy_seeds=copy_seeds
+    )
+    counters = None
+    if collect_counters:
+        flat_ids = [cid for layer in core_ids for cid in layer]
+        stacked = np.stack(
+            [chip.core(cid).multicopy_spike_counts for cid in flat_ids],
+            axis=1,
+        )  # (repeats * max_copies, cores_per_copy, batch)
+        counters = stacked.reshape((repeats, max_copies) + stacked.shape[1:])
+    return counts.reshape(repeats, max_copies, batch, -1), counters
 
 
 class ChipBackend:
     """The cycle-accurate path: batched TrueNorth chip simulation.
 
-    By default (``multicopy=True``) the requested copies of **all repeats**
-    are programmed side by side into **one** multi-copy chip image
+    The requested copies of **all repeats** are programmed side by side
+    into **one** multi-copy chip image per spf level
     (:func:`~repro.mapping.pipeline.program_chip_multicopy`: stacked
     per-core crossbar tensors, shared route table, per-copy LFSR streams)
     and the whole ``repeats x copies x batch`` volume advances in
     lock-step ticks (:func:`~repro.mapping.pipeline.run_chip_inference_multicopy`,
     grouped-input form: repeat ``r``'s encoded volume feeds exactly its
-    block of copy rows).  ``multicopy=False`` keeps the one-chip-per-copy
-    loop — bit-identical results (class counts, per-core spike counters,
-    and in stochastic mode the LFSR streams; the property tests enforce
-    it), just ``repeats x copies`` chip programs and tick loops instead of
-    ``len(spf_levels)``.
+    block of copy rows).
 
     ``stochastic_synapses`` requests deploy the corelets' Bernoulli
     probabilities onto the crossbars and re-sample every synapse per tick;
@@ -487,8 +441,6 @@ class ChipBackend:
     against the vectorized backend.
 
     Args:
-        multicopy: fold copies (and repeats) into one chip image per spf
-            level; ``False`` keeps the one-chip-per-copy loop.
         workers: fan the independent spf-level passes over N processes
             (``None`` = in-process, sequential).
         cores_per_chip: advertised core budget of the one simulated chip
@@ -503,11 +455,9 @@ class ChipBackend:
 
     def __init__(
         self,
-        multicopy: bool = True,
         workers: Optional[int] = None,
         cores_per_chip: Optional[int] = None,
     ) -> None:
-        self.multicopy = bool(multicopy)
         self.workers = workers
         self.cores_per_chip = (
             int(cores_per_chip)
@@ -523,15 +473,11 @@ class ChipBackend:
                 "batched cycle-accurate TrueNorth simulation (repeat-folded "
                 "multi-copy chip images, one pass per spf level, spike "
                 "counters, router delay, stochastic synapses)"
-                if self.multicopy
-                else "batched cycle-accurate TrueNorth simulation (one chip "
-                "per copy, one pass per spf level, spike counters, router "
-                "delay, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
             cacheable=False,
-            multicopy_chips=self.multicopy,
+            multicopy_chips=True,
             stochastic_synapses=True,
             cores_per_chip=self.cores_per_chip,
         )
@@ -553,7 +499,6 @@ class ChipBackend:
                     repeat_rngs,
                     network,
                     request.max_copies,
-                    self.multicopy,
                     request.stochastic_synapses,
                     request.collect_spike_counters,
                     request.router_delay,

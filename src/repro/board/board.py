@@ -92,7 +92,7 @@ class Board:
     @property
     def tick(self) -> int:
         """The shared tick counter of the active chips (asserted lock-step)."""
-        ticks = {self.chips[i].tick for i in self.active_chips()}
+        ticks = {self.chips[i].tick_count for i in self.active_chips()}
         if not ticks:
             return 0
         if len(ticks) != 1:
@@ -157,10 +157,10 @@ class Board:
             )
         target = self.chips[target_index]
         due = egress.tick + target.router.delay + self.config.link_delay * distance
-        if due < target.tick:
+        if due < target.tick_count:
             raise RuntimeError(
                 f"link spike due at tick {due} but chip {target_index} is "
-                f"already at tick {target.tick}; the latency model was "
+                f"already at tick {target.tick_count}; the latency model was "
                 "violated (router delay < 1?)"
             )
         target.router.external_deliver_batch(

@@ -1,30 +1,19 @@
-"""Spike-encoding schemes for TrueNorth inputs and outputs.
+"""Spike encoding for TrueNorth inputs and decoding of its outputs.
 
 TrueNorth communicates only binary spikes, so real-valued inputs (normalized
 pixel intensities in [0, 1]) must be translated into spike trains.  The paper
-relies primarily on the *stochastic* code — each tick a pixel spikes with
-probability equal to its intensity — parameterized by the number of spike
-samples per frame (spf), which is the temporal-duplication knob of the
-evaluation.  The other deterministic codes TrueNorth supports (rate,
-population, time-to-spike, rank) are implemented as well, both because the
-paper lists them as the official alternatives and because they are exercised
-by the ablation benchmarks.
+uses the *stochastic* code — each tick a pixel spikes with probability equal
+to its intensity — parameterized by the number of spike samples per frame
+(spf), which is the temporal-duplication knob of the evaluation.  It is the
+only code an evaluation request accepts.
 
 Decoders convert output spike counts back into class scores.
 """
 
 from repro.encoding.stochastic import StochasticEncoder
-from repro.encoding.rate import RateEncoder
-from repro.encoding.population import PopulationEncoder
-from repro.encoding.time_to_spike import TimeToSpikeEncoder
-from repro.encoding.rank import RankOrderEncoder
 from repro.encoding.decoder import SpikeCountDecoder
 
 __all__ = [
     "StochasticEncoder",
-    "RateEncoder",
-    "PopulationEncoder",
-    "TimeToSpikeEncoder",
-    "RankOrderEncoder",
     "SpikeCountDecoder",
 ]

@@ -41,7 +41,7 @@ request sets ``link_delay`` or exceeds the chip core budget),
 :class:`~repro.eval.runner.DiskScoreCache` on disk) for repeated
 evaluations of the same configuration.
 
-The chip backend defaults to **repeat-folded multi-copy chip images**:
+The chip backend runs **repeat-folded multi-copy chip images**:
 the requested copies of *all repeats* are programmed side by side
 (stacked per-core crossbar tensors, per-copy LFSR streams; each repeat
 block carries its own deployment and input volume through the chip's
@@ -55,9 +55,7 @@ cumsum prefixes of the one pass, bit-identical to the per-(spf, repeat)
 loop.  ``Session(workers=N)`` additionally fans the independent
 spf-level passes over worker processes (vectorized requests shard over
 repeats instead; both are bit-identical at any worker count — see
-:func:`repro.eval.runner.parallel_map`).  ``ChipBackend(multicopy=False)``
-keeps the per-copy reference loop the property tests pin the image
-against.
+:func:`repro.eval.runner.parallel_map`).
 """
 
 from repro.eval.accuracy import DeployedAccuracy, evaluate_deployed_accuracy

@@ -25,11 +25,8 @@ from repro.mapping.pipeline import (
     BoardProgram,
     board_spike_counters,
     program_board_multicopy,
-    program_chip,
     program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
 
@@ -52,10 +49,7 @@ __all__ = [
     "BoardProgram",
     "board_spike_counters",
     "program_board_multicopy",
-    "program_chip",
     "program_chip_multicopy",
     "run_board_inference_multicopy",
-    "run_chip_inference",
-    "run_chip_inference_batch",
     "run_chip_inference_multicopy",
 ]

@@ -11,9 +11,9 @@ aspects of TrueNorth that the paper's analysis depends on:
 * a digital leaky integrate-and-fire neuron (with the history-free
   McCulloch-Pitts special case used by the paper),
 * a chip made of a 2-D grid of cores connected by a spike router, advanced by
-  a tick-based scheduler,
-* an NSCS-like facade that extracts synaptic-weight deviation maps
-  (paper Figure 4).
+  a tick-based scheduler over copy-stacked batches: one cycle-accurate
+  engine runs any number of independently programmed network copies
+  (a single copy is the one-copy case).
 
 Nothing here knows about training; the learning methods live in
 ``repro.core`` and the mapping from trained models onto cores in
@@ -30,12 +30,11 @@ from repro.truenorth.constants import (
 )
 from repro.truenorth.config import CoreConfig, NeuronConfig, ChipConfig
 from repro.truenorth.prng import LfsrPrng
-from repro.truenorth.neuron import McCullochPittsNeuron, LifNeuron
+from repro.truenorth.neuron import NeuronArray
 from repro.truenorth.crossbar import SynapticCrossbar
 from repro.truenorth.core import NeurosynapticCore
-from repro.truenorth.router import SpikeRouter, SpikeEvent
+from repro.truenorth.router import SpikeRouter
 from repro.truenorth.chip import TrueNorthChip
-from repro.truenorth.nscs import NeuroSynapticChipSimulator, DeviationReport
 
 __all__ = [
     "AXONS_PER_CORE",
@@ -48,13 +47,9 @@ __all__ = [
     "NeuronConfig",
     "ChipConfig",
     "LfsrPrng",
-    "McCullochPittsNeuron",
-    "LifNeuron",
+    "NeuronArray",
     "SynapticCrossbar",
     "NeurosynapticCore",
     "SpikeRouter",
-    "SpikeEvent",
     "TrueNorthChip",
-    "NeuroSynapticChipSimulator",
-    "DeviationReport",
 ]

@@ -118,7 +118,7 @@ def test_capability_flags_match_design():
     # The chip serves (copies, spf, repeats) grids in one pass per spf
     # level (repeat-folded multi-copy images) — grid-capable since PR 7.
     assert ChipBackend().capabilities().spf_grids
-    assert ChipBackend(multicopy=False).capabilities().spf_grids
+    assert ChipBackend().capabilities().multicopy_chips
     assert not ReferenceBackend().capabilities().cacheable
 
 

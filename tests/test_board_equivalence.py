@@ -1,6 +1,8 @@
 """Board engine and backend: bit-identical to the single-chip engine.
 
-The board subsystem's equivalence discipline, pinned at ``atol=0``:
+The board subsystem's equivalence discipline, pinned at ``atol=0``
+against the single-chip engine, which is itself checked against the scalar
+oracle (``tests/chip_oracle.py``) in every reference run:
 
 * a 1x1 board with zero link delay replays ``run_chip_inference_multicopy``
   bit for bit — class counts, per-core spike counters, router
@@ -39,13 +41,15 @@ from repro.board import BoardConfig
 from repro.mapping.pipeline import (
     board_spike_counters,
     program_board_multicopy,
-    program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_multicopy,
 )
 from repro.truenorth.config import ChipConfig
 
-from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
+from test_chip_multicopy_equivalence import (
+    _STOCHASTIC,
+    assert_multicopy_matches_percopy,
+    random_deployed_copies,
+)
 
 _SETTINGS = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -68,11 +72,9 @@ def _identity_chip_config(core_count: int, copies: int) -> ChipConfig:
 
 
 def _chip_reference(copies, volumes, neuron_config, delay, seeds):
-    chip, core_ids = program_chip_multicopy(
-        copies, neuron_config=neuron_config, router_delay=delay
-    )
-    counts = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=seeds
+    """The single-chip engine's run, checked against the scalar oracle."""
+    chip, core_ids, counts = assert_multicopy_matches_percopy(
+        copies, volumes, neuron_config, delay, seeds
     )
     flat = [cid for layer in core_ids for cid in layer]
     counters = np.stack(

@@ -13,8 +13,9 @@ replaced, at ``atol=0``:
   LFSR register states, over LIF neurons, router delays > 1, and a
   mid-run ``reset()``;
 * backend level — ``ChipBackend`` multi-spf grids vs single-level
-  requests and vs the ``multicopy=False`` loop, including ``workers=2``
-  process fan-out over spf levels;
+  requests and vs the scalar oracle (``tests/chip_oracle.py``) run on every
+  (spf, repeat, copy, sample) alone, including ``workers=2`` process
+  fan-out over spf levels;
 * programming level — per-core-fit trimming gives heterogeneous corelets
   their own crossbar geometry in deterministic mode while stochastic
   images keep the network-uniform shape (the LFSR sample layout is a
@@ -32,12 +33,12 @@ from hypothesis import strategies as st
 from repro.api import EvalRequest
 from repro.api.backends import ChipBackend
 from repro.mapping.pipeline import (
-    program_chip,
     program_chip_multicopy,
     run_chip_inference_multicopy,
 )
 from repro.truenorth.config import NeuronConfig
 
+from chip_oracle import simulate_request
 from test_chip_batch_equivalence import random_deployed_network
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
 
@@ -285,7 +286,7 @@ def test_percore_fit_trims_heterogeneous_corelets():
         num_classes=4,
         fractional_probabilities=True,
     )
-    chip, core_ids = program_chip(deployed)
+    chip, core_ids = program_chip_multicopy([deployed])
     shapes = set()
     for layer_ids, layer in zip(core_ids, deployed.corelet_network.corelets):
         for core_id, corelet in zip(layer_ids, layer):
@@ -304,8 +305,8 @@ def test_percore_fit_trims_heterogeneous_corelets():
         for layer in deployed.corelet_network.corelets
         for c in layer
     )
-    stochastic_chip, stochastic_ids = program_chip(
-        deployed, neuron_config=_STOCHASTIC
+    stochastic_chip, stochastic_ids = program_chip_multicopy(
+        [deployed], neuron_config=_STOCHASTIC
     )
     for layer_ids in stochastic_ids:
         for core_id in layer_ids:
@@ -374,17 +375,17 @@ def test_backend_grid_matches_single_level_requests(
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_backend_grid_multicopy_matches_percopy_loop(stochastic, seed):
-    """The folded grid equals the one-chip-per-(repeat, copy) loop."""
+    """The folded grid equals the oracle's one-(repeat, copy)-at-a-time loop."""
     request = _request(
         repeats=2,
         seed=seed,
         stochastic_synapses=stochastic,
         collect_spike_counters=True,
     )
-    _assert_results_equal(
-        ChipBackend(multicopy=True).evaluate(request),
-        ChipBackend(multicopy=False).evaluate(request),
-    )
+    result = ChipBackend().evaluate(request)
+    counts, counters = simulate_request(request)
+    np.testing.assert_array_equal(result.class_counts(), counts)
+    np.testing.assert_array_equal(result.spike_counters, counters)
 
 
 def test_backend_grid_bit_identical_with_worker_fanout():

@@ -1,16 +1,17 @@
-"""Multi-copy chip engine vs the one-chip-per-copy loop: bit-identical.
+"""Multi-copy chip engine vs the per-copy scalar oracle: bit-identical.
 
 The multi-copy engine programs C sampled copies side by side into one chip
 image (stacked per-core crossbar tensors, shared route table, per-copy LFSR
 streams) and advances all ``C * batch`` rows in lock-step
 (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`).  These
-hypothesis-driven property tests pin it against C independent
-:func:`run_chip_inference_batch` runs at ``atol=0`` over copies in
-{1, 2, 5}, router delays > 1, history-free and stateful LIF neurons, and
-stochastic-synapse deployments — comparing per-copy class counts, per-core
-spike counters, summed router delivered/hop counters, and (in stochastic
-mode) the final per-copy LFSR register states.  A mid-run ``reset()`` must
-preserve the programmed routes and replay the identical run.
+hypothesis-driven property tests pin it against the scalar oracle
+(``tests/chip_oracle.py``) run on every (copy, sample) alone, at
+``atol=0`` over copies in {1, 2, 5}, router delays > 1, history-free and
+stateful LIF neurons, and stochastic-synapse deployments — comparing
+per-copy class counts, per-core spike counters, the summed router
+delivered counter, the tick count, and (in stochastic mode) the final
+per-copy LFSR register states.  A mid-run ``reset()`` must preserve the
+programmed routes and replay the identical run.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ from hypothesis import strategies as st
 
 from repro.mapping.deploy import DeployedNetwork
 from repro.mapping.pipeline import (
-    program_chip,
     program_chip_multicopy,
-    run_chip_inference,
-    run_chip_inference_batch,
     run_chip_inference_multicopy,
 )
 from repro.truenorth.config import NeuronConfig
 from repro.truenorth.crossbar import SynapticCrossbar
 
+from chip_oracle import lfsr_state_after, simulate
 from test_chip_batch_equivalence import random_deployed_network
 
 #: cores-per-layer shape exercised at each depth (small on purpose: the
-#: hypothesis matrix multiplies runtimes by copies + 1 chip runs).
+#: oracle steps every (copy, sample) alone).
 _SHAPES = {1: (2,), 2: (2, 2), 3: (2, 2, 1)}
 
 #: the stochastic deployment neuron (unit weight table, per-tick sampling).
@@ -76,33 +75,15 @@ def random_deployed_copies(
     return copies
 
 
-def run_percopy_loop(copies, volumes, neuron_config, delay, copy_seeds):
-    """The reference: one programmed chip and one batched pass per copy."""
-    counts, spikes, states = [], [], []
-    delivered = hops = 0
-    for index, copy in enumerate(copies):
-        chip, core_ids = program_chip(
-            copy,
-            neuron_config=neuron_config,
-            router_delay=delay,
-            core_seed=0 if copy_seeds is None else copy_seeds[index],
-        )
-        counts.append(run_chip_inference_batch(chip, copy, core_ids, volumes))
-        order = [cid for layer in core_ids for cid in layer]
-        spikes.append(np.stack([chip.core(k).batch_spike_counts for k in order]))
-        states.append([chip.core(k).prng.state for k in order])
-        delivered += chip.router.delivered_count
-        hops += chip.router.hop_count
-    return np.stack(counts), np.stack(spikes), states, (delivered, hops)
-
-
 def assert_multicopy_matches_percopy(
     copies, volumes, neuron_config=None, delay=1, copy_seeds=None
 ):
-    """Program both ways, run both engines, compare everything at atol=0."""
-    counts, spikes, states, router = run_percopy_loop(
-        copies, volumes, neuron_config, delay, copy_seeds
-    )
+    """Run the multi-copy engine and the per-copy oracle; compare at atol=0.
+
+    ``volumes`` is shared by every copy, or grouped ``(groups, batch,
+    ticks, input_dim)``: block ``g`` feeds copies ``[g * C/groups, (g+1) *
+    C/groups)``.
+    """
     chip, core_ids = program_chip_multicopy(
         copies, neuron_config=neuron_config, router_delay=delay
     )
@@ -113,15 +94,34 @@ def assert_multicopy_matches_percopy(
     multi_spikes = np.stack(
         [chip.core(k).multicopy_spike_counts for k in order], axis=1
     )
-    assert np.array_equal(counts, multi)
-    assert np.array_equal(spikes, multi_spikes)
-    assert (chip.router.delivered_count, chip.router.hop_count) == router
-    if chip.core(order[0]).copy_prngs is not None:
-        multi_states = [
+    volumes = np.asarray(volumes)
+    per_group = len(copies) // (volumes.shape[0] if volumes.ndim == 4 else 1)
+    runs = [
+        simulate(
+            copy,
+            volumes[index // per_group] if volumes.ndim == 4 else volumes,
+            neuron_config=neuron_config,
+            router_delay=delay,
+            core_seed=0 if copy_seeds is None else copy_seeds[index],
+        )
+        for index, copy in enumerate(copies)
+    ]
+    assert np.array_equal(np.stack([run.class_counts for run in runs]), multi)
+    assert np.array_equal(
+        np.stack([run.core_spikes.T for run in runs]), multi_spikes
+    )
+    assert chip.router.delivered_count == sum(run.routed for run in runs)
+    ticks = max(run.ticks for run in runs)
+    assert chip.tick_count == ticks
+    if neuron_config is not None and neuron_config.stochastic_synapses:
+        seeds = [0] * len(copies) if copy_seeds is None else copy_seeds
+        assert [
             [chip.core(k).copy_prngs[c].state for k in order]
             for c in range(len(copies))
+        ] == [
+            [lfsr_state_after(seed + k + 1, ticks) for k in range(len(order))]
+            for seed in seeds
         ]
-        assert multi_states == states
     assert not chip.router.has_pending()
     return chip, core_ids, multi
 
@@ -330,23 +330,6 @@ def test_crossbar_copy_stack_guards():
         crossbar.integrate_multicopy(
             np.zeros((2, 5, 4), dtype=np.int8), stochastic=True
         )
-
-
-def test_scalar_paths_reject_multicopy_programming():
-    """chip.step / run_chip_inference on a multi-copy image raise loudly.
-
-    The single-copy programming of a stacked crossbar is empty, so the
-    scalar path would otherwise return well-shaped all-zero results.
-    """
-    rng = np.random.default_rng(8)
-    copies = random_deployed_copies(rng, 2, 1)
-    chip, core_ids = program_chip_multicopy(copies)
-    frames = np.zeros((2, copies[0].corelet_network.input_dim), dtype=np.int8)
-    with pytest.raises(ValueError, match="copy programming"):
-        run_chip_inference(chip, copies[0], core_ids, frames)
-    chip.reset()
-    with pytest.raises(ValueError, match="copy programming"):
-        chip.step()
 
 
 def test_multicopy_driver_shape_guards():

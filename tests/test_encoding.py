@@ -1,14 +1,10 @@
-"""Tests for the spike encoders and the spike-count decoder."""
+"""Tests for the stochastic spike encoder and the spike-count decoder."""
 
 import numpy as np
 import pytest
 
 from repro.encoding.decoder import SpikeCountDecoder
-from repro.encoding.population import PopulationEncoder
-from repro.encoding.rank import RankOrderEncoder
-from repro.encoding.rate import RateEncoder
 from repro.encoding.stochastic import StochasticEncoder
-from repro.encoding.time_to_spike import TimeToSpikeEncoder
 
 
 # --------------------------------------------------------------- stochastic
@@ -38,98 +34,6 @@ def test_stochastic_encoder_validation():
         encoder.encode(np.array([0.5, 0.5]))  # not 2-D
     with pytest.raises(ValueError):
         encoder.encode(np.array([[1.5]]))
-
-
-# --------------------------------------------------------------- rate
-def test_rate_encoder_exact_counts_and_roundtrip():
-    encoder = RateEncoder(window=8)
-    values = np.array([[0.0, 0.25, 0.5, 1.0]])
-    frames = encoder.encode(values)
-    counts = frames.sum(axis=0)
-    assert list(counts[0]) == [0, 2, 4, 8]
-    assert np.allclose(encoder.decode(frames), values)
-
-
-def test_rate_encoder_spreads_spikes_evenly():
-    encoder = RateEncoder(window=8)
-    frames = encoder.encode(np.array([[0.5]]))
-    ticks = np.nonzero(frames[:, 0, 0])[0]
-    assert len(ticks) == 4
-    gaps = np.diff(ticks)
-    assert gaps.max() - gaps.min() <= 1
-
-
-def test_rate_encoder_validation():
-    with pytest.raises(ValueError):
-        RateEncoder(0)
-    encoder = RateEncoder(4)
-    with pytest.raises(ValueError):
-        encoder.encode(np.array([[2.0]]))
-    with pytest.raises(ValueError):
-        encoder.decode(np.zeros((3, 1, 1)))
-
-
-# --------------------------------------------------------------- population
-def test_population_encoder_thermometer_code():
-    encoder = PopulationEncoder(population=4)
-    bits = encoder.encode(np.array([[0.0, 0.5, 1.0]]))
-    assert bits.shape == (1, 12)
-    assert list(bits[0, :4]) == [0, 0, 0, 0]
-    assert list(bits[0, 4:8]) == [1, 1, 0, 0]
-    assert list(bits[0, 8:]) == [1, 1, 1, 1]
-    decoded = encoder.decode(bits, feature_count=3)
-    assert np.allclose(decoded, [[0.0, 0.5, 1.0]])
-
-
-def test_population_encoder_validation():
-    with pytest.raises(ValueError):
-        PopulationEncoder(0)
-    encoder = PopulationEncoder(4)
-    with pytest.raises(ValueError):
-        encoder.decode(np.zeros((1, 7)), feature_count=2)
-
-
-# --------------------------------------------------------------- time to spike
-def test_time_to_spike_larger_values_spike_earlier():
-    encoder = TimeToSpikeEncoder(window=8)
-    frames = encoder.encode(np.array([[1.0, 0.5, 0.1]]))
-    assert frames.sum() == 3
-    first_spike = np.argmax(frames[:, 0, :], axis=0)
-    assert first_spike[0] < first_spike[1] < first_spike[2]
-
-
-def test_time_to_spike_zero_behaviour_and_decode():
-    encoder = TimeToSpikeEncoder(window=8, spike_for_zero=False)
-    frames = encoder.encode(np.array([[0.0, 1.0]]))
-    assert frames[:, 0, 0].sum() == 0
-    decoded = encoder.decode(frames)
-    assert decoded[0, 0] == 0.0
-    assert decoded[0, 1] == 1.0
-
-
-def test_time_to_spike_validation():
-    with pytest.raises(ValueError):
-        TimeToSpikeEncoder(0)
-    with pytest.raises(ValueError):
-        TimeToSpikeEncoder(4).decode(np.zeros((3, 1, 1)))
-
-
-# --------------------------------------------------------------- rank order
-def test_rank_order_one_spike_per_feature_in_order():
-    encoder = RankOrderEncoder(max_ticks=4)
-    values = np.array([[0.9, 0.1, 0.5, 0.7]])
-    frames = encoder.encode(values)
-    assert frames.sum() == 4
-    ranks = encoder.decode_ranks(frames)
-    # Larger values must have earlier (smaller) spike ticks.
-    assert ranks[0, 0] <= ranks[0, 3] <= ranks[0, 2] <= ranks[0, 1]
-
-
-def test_rank_order_validation():
-    with pytest.raises(ValueError):
-        RankOrderEncoder(0)
-    with pytest.raises(ValueError):
-        RankOrderEncoder(4).encode(np.zeros(3))
 
 
 # --------------------------------------------------------------- decoder

@@ -55,3 +55,15 @@ def test_deviation_zero_tolerance_counts_near_pole_probabilities(model_pair):
     strict = model_deviation_report(tea_model, layer=0, core_index=0, rng=0, zero_tolerance=0.0)
     loose = model_deviation_report(tea_model, layer=0, core_index=0, rng=0, zero_tolerance=0.2)
     assert loose.zero_fraction >= strict.zero_fraction
+
+
+def test_deviation_summary_is_plain_dict(model_pair):
+    tea_model, _ = model_pair
+    summary = model_deviation_report(tea_model, layer=0, core_index=0, rng=0).summary()
+    assert set(summary) == {
+        "zero_fraction",
+        "above_half_fraction",
+        "mean_deviation",
+        "max_deviation",
+    }
+    assert all(isinstance(value, float) for value in summary.values())

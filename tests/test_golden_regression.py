@@ -10,6 +10,11 @@ fixed hand-built 3-copy, 2-layer network and one fixed binary spike volume:
 * the vectorized engine's accumulated class-mean scores;
 * the per-corelet reference loop's accumulated scores.
 
+Before the fixture is consulted, the chip records are recomputed by the
+scalar oracle (``tests/chip_oracle.py``) one (copy, sample) at a time, so
+the committed chip numbers are pinned by an independent simulator as well
+as by history.
+
 Every quantity is either an exact integer count or an exact small-rational
 float (integer counts divided by ``n_k``: products and sums are exact in
 float64 and IEEE division is correctly rounded), so the committed arrays
@@ -39,6 +44,7 @@ from repro.mapping.pipeline import (
     run_chip_inference_multicopy,
 )
 
+from chip_oracle import lfsr_state_after, simulate
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "chip_multicopy_goldens.npz"
@@ -85,6 +91,32 @@ def _chip_record(copies, volumes, stochastic: bool):
         dtype=np.int64,
     )
     return counts, counters, states
+
+
+def _oracle_record(copies, volumes, stochastic: bool):
+    """:func:`_chip_record` recomputed by the per-sample scalar oracle."""
+    seeds = _COPY_SEEDS if stochastic else [0] * len(copies)
+    runs = [
+        simulate(
+            copy,
+            volumes,
+            neuron_config=_STOCHASTIC if stochastic else None,
+            core_seed=seed,
+        )
+        for copy, seed in zip(copies, seeds)
+    ]
+    # the copy PRNGs draw once per executed tick in stochastic mode only
+    draws = max(run.ticks for run in runs) if stochastic else 0
+    cores = runs[0].core_spikes.shape[1]
+    states = np.array(
+        [[lfsr_state_after(seed + k + 1, draws) for k in range(cores)] for seed in seeds],
+        dtype=np.int64,
+    )
+    return (
+        np.stack([run.class_counts for run in runs]),
+        np.stack([run.core_spikes.T for run in runs]),
+        states,
+    )
 
 
 def _vectorized_scores(copies, volumes):
@@ -134,7 +166,12 @@ def test_backends_match_committed_goldens(regen_goldens):
     # Internal consistency before touching the fixture: the chip's integer
     # counts and the functional engines must already agree (counts == n_k *
     # class-mean scores), and the two functional engines must be identical.
-    copies, _ = _scenario()
+    copies, volumes = _scenario()
+    for stochastic, prefix in ((False, "chip_"), (True, "chip_stochastic_")):
+        counts, counters, states = _oracle_record(copies, volumes, stochastic)
+        assert np.array_equal(computed[prefix + "class_counts"], counts)
+        assert np.array_equal(computed[prefix + "spike_counters"], counters)
+    assert np.array_equal(computed["chip_stochastic_lfsr_states"], states)
     n_k = class_counts(copies[0].corelet_network)
     assert np.array_equal(
         computed["vectorized_scores"], computed["reference_scores"]

@@ -8,8 +8,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core.penalties import BiasingPenalty, L1Penalty, ProbabilitySpacePenalty
 from repro.core.probability import probabilities_to_weights, weights_to_probabilities
 from repro.core.variance import presynaptic_sum_statistics, synaptic_variance
-from repro.encoding.population import PopulationEncoder
-from repro.encoding.rate import RateEncoder
 from repro.encoding.stochastic import StochasticEncoder
 from repro.eval.comparison import label_points, match_accuracy_levels
 from repro.mapping.blocks import stride_blocks
@@ -103,33 +101,6 @@ def test_stochastic_encoder_rate_matches_expectation(values, spf):
     # Values of exactly 0 / 1 are deterministic.
     assert np.all(frames[:, values == 0.0] == 0)
     assert np.all(frames[:, values == 1.0] == 1)
-
-
-@given(
-    hnp.arrays(dtype=float, shape=st.tuples(st.integers(1, 5), st.integers(1, 10)),
-               elements=st.floats(0.0, 1.0)),
-    st.integers(1, 12),
-)
-@settings(max_examples=40, deadline=None)
-def test_rate_encoder_counts_equal_rounded_value(values, window):
-    encoder = RateEncoder(window)
-    frames = encoder.encode(values)
-    counts = frames.sum(axis=0)
-    assert np.array_equal(counts, np.rint(values * window).astype(int))
-    assert np.allclose(encoder.decode(frames) * window, counts)
-
-
-@given(
-    hnp.arrays(dtype=float, shape=st.tuples(st.integers(1, 5), st.integers(1, 8)),
-               elements=st.floats(0.0, 1.0)),
-    st.integers(1, 8),
-)
-@settings(max_examples=40, deadline=None)
-def test_population_encoder_roundtrip_quantization(values, population):
-    encoder = PopulationEncoder(population)
-    bits = encoder.encode(values)
-    decoded = encoder.decode(bits, feature_count=values.shape[1])
-    assert np.all(np.abs(decoded - values) <= 0.5 / population + 1e-9)
 
 
 @given(st.integers(1, 2**16 - 1), st.integers(16, 200))
