@@ -10,22 +10,28 @@ types.  Two asymmetries shape the codec:
   :func:`encode_request` / :func:`decode_request` therefore round-trip the
   *wire form* losslessly, and :func:`to_eval_request` performs the resolution.
 * A wire result carries every tensor by value.  Arrays are encoded as
-  ``{"dtype", "shape", "data"}`` with flat ``data`` lists; JSON serializes
-  Python floats via ``repr``, which round-trips every finite float64 exactly,
-  so a decoded :class:`EvalResult` is **bit-identical** to the served one —
-  the invariant the service smoke job asserts against direct
-  :meth:`Session.evaluate`.
+  ``{"dtype", "shape", "b64"}``: the base64 of the array's little-endian
+  bytes (``<f8``, ``<i8``, ``|b1``) in its served dtype.  Shipping the bytes
+  themselves is exact by construction — ``-0.0``, infinities and NaN
+  payloads included — so a decoded :class:`EvalResult` is **bit-identical**
+  to the served one, the invariant the service smoke job asserts against
+  direct :meth:`Session.evaluate`.  The float ``scores`` travel as float64,
+  not as integer class counts: they are cumulative sums of per-frame class
+  means, which ``counts / n_k`` does not reproduce to the last bit.
 
 Validation is strict: unknown fields, wrong types (including ``True`` where
-an int is expected), and malformed arrays all raise :class:`CodecError`,
-which the HTTP layer maps to a typed ``400`` error payload.  Typed payloads
-(:func:`error_payload`) also cover
+an int is expected), and malformed arrays (an unknown dtype, bytes that are
+not base64 or do not fill the shape exactly, a bool byte other than 0 or 1)
+all raise :class:`CodecError`, which the HTTP layer maps to a typed ``400``
+error payload.  Typed payloads (:func:`error_payload`) also cover
 :class:`~repro.api.protocol.UnsupportedRequestError` (``422``), unknown
 model/dataset names (``404``), overload (``429``), and shutdown (``503``).
 """
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
@@ -102,6 +108,15 @@ def _int_tuple(value: object, field: str) -> Tuple[int, ...]:
     for item in value:
         _require(_is_int(item), f"{field} entries must be integers", field)
     return tuple(int(item) for item in value)
+
+
+def parse_body(body: bytes) -> object:
+    """The JSON value of a request body; :class:`CodecError` when it is not
+    UTF-8 JSON."""
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise CodecError(f"request body is not valid JSON: {error}") from None
 
 
 def encode_request(
@@ -287,63 +302,81 @@ def to_eval_request(wire: WireRequest, registry) -> EvalRequest:
 # ----------------------------------------------------------------------
 # arrays and results
 # ----------------------------------------------------------------------
-#: dtypes a wire array may carry; anything else is a protocol violation.
-WIRE_DTYPES = ("float64", "int64", "bool")
+#: dtypes a wire array may carry, each with the byte order of its payload;
+#: anything else is a protocol violation.
+WIRE_DTYPES: Dict[str, np.dtype] = {
+    "float64": np.dtype("<f8"),
+    "int64": np.dtype("<i8"),
+    "bool": np.dtype("|b1"),
+}
+
+_ARRAY_KEYS = frozenset(("dtype", "shape", "b64"))
 
 
 def encode_array(array: np.ndarray) -> Dict[str, object]:
-    """A numpy array as ``{"dtype", "shape", "data"}`` with flat data."""
+    """A numpy array as ``{"dtype", "shape", "b64"}``: its little-endian
+    bytes in C order, base64-encoded."""
     array = np.asarray(array)
-    if array.dtype.name not in WIRE_DTYPES:
+    wire = WIRE_DTYPES.get(array.dtype.name)
+    if wire is None:
         raise CodecError(
             f"array dtype {array.dtype.name!r} is not wire-encodable; "
-            f"allowed: {WIRE_DTYPES}"
+            f"allowed: {tuple(WIRE_DTYPES)}"
         )
+    raw = np.ascontiguousarray(array, dtype=wire).tobytes()
     return {
         "dtype": array.dtype.name,
         "shape": list(array.shape),
-        "data": array.ravel().tolist(),
+        "b64": base64.b64encode(raw).decode("ascii"),
     }
 
 
 def decode_array(obj: object, field: str = "array") -> np.ndarray:
-    """Decode :func:`encode_array` output back into a numpy array."""
-    _require(isinstance(obj, dict), f"{field} must be an array object", field)
-    missing = {"dtype", "shape", "data"} - set(obj)
-    _require(not missing, f"{field} is missing {sorted(missing)}", field)
-    _require(
-        obj["dtype"] in WIRE_DTYPES,
-        f"{field} has unknown dtype {obj['dtype']!r}",
-        field,
-    )
-    shape = _int_tuple(obj["shape"], f"{field}.shape") if obj["shape"] else ()
-    _require(isinstance(obj["data"], list), f"{field}.data must be a list", field)
-    expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    _require(
-        len(obj["data"]) == expected,
-        f"{field}.data has {len(obj['data'])} entries, shape {shape} needs {expected}",
-        field,
-    )
-    # Entry types are checked before numpy sees them: np.asarray would
-    # silently truncate floats and coerce booleans into an int64 array,
-    # which is exactly the lossy coercion a strict codec must refuse.
-    data = obj["data"]
-    if obj["dtype"] == "bool":
-        typed = all(isinstance(item, bool) for item in data)
-    elif obj["dtype"] == "int64":
-        typed = all(_is_int(item) for item in data)
-    else:  # float64; integer-valued entries decode exactly, bools do not pass
-        typed = all(
-            isinstance(item, (int, float)) and not isinstance(item, bool)
-            for item in data
-        )
-    _require(typed, f"{field}.data entries do not match dtype {obj['dtype']}", field)
-    try:
-        return np.asarray(data, dtype=obj["dtype"]).reshape(shape)
-    except (TypeError, ValueError) as error:
+    """Decode :func:`encode_array` output into a writeable native array.
+
+    The byte count must match the shape exactly and every ``bool`` byte
+    must be 0 or 1, so no payload decodes to an array the encoder could
+    not have produced.
+    """
+    if not isinstance(obj, dict) or set(obj) != _ARRAY_KEYS:
         raise CodecError(
-            f"{field}.data does not decode: {error}", field=field
-        ) from error
+            f"{field} must be an object with exactly the keys "
+            f"{sorted(_ARRAY_KEYS)}",
+            field=field,
+        )
+    dtype, shape, text = obj["dtype"], obj["shape"], obj["b64"]
+    _require(
+        isinstance(dtype, str) and dtype in WIRE_DTYPES,
+        f"{field} has unknown dtype {dtype!r}",
+        field,
+    )
+    if not isinstance(shape, list) or not all(
+        _is_int(size) and size >= 0 for size in shape
+    ):
+        raise CodecError(
+            f"{field}.shape must be a list of non-negative integers", field=field
+        )
+    if not isinstance(text, str):
+        raise CodecError(f"{field}.b64 must be a string", field=field)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise CodecError(f"{field}.b64 is not base64: {error}", field=field) from None
+    wire = WIRE_DTYPES[dtype]
+    expected = math.prod(shape) * wire.itemsize
+    _require(
+        len(raw) == expected,
+        f"{field}.b64 holds {len(raw)} bytes, shape {shape} of {dtype} "
+        f"needs {expected}",
+        field,
+    )
+    if dtype == "bool":
+        _require(
+            not (np.frombuffer(raw, dtype=np.uint8) > 1).any(),
+            f"{field}.b64 has bool bytes other than 0 and 1",
+            field,
+        )
+    return np.frombuffer(raw, dtype=wire).astype(dtype).reshape(shape)
 
 
 def encode_result(result: EvalResult) -> Dict[str, object]:
@@ -354,11 +387,9 @@ def encode_result(result: EvalResult) -> Dict[str, object]:
         "spf_levels": list(result.spf_levels),
         "scores": encode_array(result.scores),
         "accuracy": encode_array(result.accuracy),
-        "labels": encode_array(np.asarray(result.labels, dtype=np.int64)),
-        "class_neuron_counts": encode_array(
-            np.asarray(result.class_neuron_counts, dtype=np.int64)
-        ),
-        "cores": encode_array(np.asarray(result.cores, dtype=np.int64)),
+        "labels": encode_array(result.labels),
+        "class_neuron_counts": encode_array(result.class_neuron_counts),
+        "cores": encode_array(result.cores),
         "seed": result.seed,
         "repeats": result.repeats,
         "spike_counters": (

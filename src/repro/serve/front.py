@@ -38,7 +38,12 @@ restored — rendezvous hashing moves only the ejected replica's keys in
 both directions.  A proxy attempt that hits a dead socket (or a replica
 answering 503 mid-shutdown) fails over to the next replica in the key's
 preference order within the same request, so a mid-burst replica kill is
-absorbed without a client-visible 5xx.
+absorbed without a client-visible 5xx; a replica answering 500 spills the
+same way, without being ejected.
+
+**Passthrough.**  The front parses a request only to validate it and find
+its model, then forwards the bytes it read; a replica's answer goes back
+to the client as the bytes the replica wrote.
 
 **Aggregated introspection.**  ``GET /metrics`` refreshes and merges the
 fleet: conservation counters summed (each replica snapshot is internally
@@ -67,9 +72,13 @@ from repro.serve.admission import (
     QueueFullError,
     ServiceClosedError,
 )
-from repro.serve.codec import decode_request
+from repro.serve.codec import decode_request, parse_body
 from repro.serve.handlers import FrontHandler
 from repro.serve.ring import ReplicaRing
+
+
+#: A replica's answer as the front passes it on: status, headers, body bytes.
+Answer = Tuple[int, Dict[str, str], bytes]
 
 
 class FleetUnavailableError(RuntimeError):
@@ -429,21 +438,25 @@ class FrontService:
             retry_after=float(min(60.0, max(1.0, hint))),
         )
 
-    def evaluate(
-        self, payload: object
-    ) -> Tuple[int, Dict[str, str], Dict[str, object]]:
-        """Route one wire payload; returns ``(status, headers, body)``.
+    def evaluate(self, body: bytes) -> Answer:
+        """Route one request body; returns ``(status, headers, body)``.
 
-        The replica's JSON answer passes through verbatim (the router adds
-        routing, never arithmetic — bit-identity is the replica's), with
-        deterministic failover along the model's preference order:
+        The body is validated here and forwarded as the bytes it arrived
+        as; the replica's answer passes back as the bytes it sent (the
+        router adds routing, never arithmetic — bit-identity is the
+        replica's).  Only the replica's status and ``Retry-After`` are
+        read, to fail over deterministically along the model's preference
+        order:
 
         * dead socket or 503 (mid-shutdown) → next replica, and the dead
           one is ejected on the spot;
         * 429 (that one replica is saturated) → spill to the next replica
           in preference order; if every healthy replica sheds, the last
           429 passes through (its ``Retry-After`` still carries a
-          measured drain hint).
+          measured drain hint);
+        * 500 (that replica cannot serve, e.g. a broken worker pool) →
+          spill to the next replica; if every candidate answers 500 and
+          none 429, the last 500 passes through.
 
         Raises the typed admission errors for the transport:
         :class:`~repro.serve.codec.CodecError` (400, validated here so a
@@ -452,7 +465,7 @@ class FrontService:
         :class:`~repro.serve.admission.ServiceClosedError` (503) and
         :class:`FleetUnavailableError` (503, no healthy replica).
         """
-        wire = decode_request(payload)
+        wire = decode_request(parse_body(body))
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("front router is shutting down")
@@ -468,28 +481,34 @@ class FrontService:
                 f"(fleet: {self.ring.replicas or 'empty'})"
             )
         started = time.monotonic()
-        overloaded: Optional[Tuple[int, Dict[str, str], Dict[str, object]]] = None
+        overloaded: Optional[Answer] = None
+        failed: Optional[Tuple[ReplicaState, Answer]] = None
         for index, state in enumerate(candidates):
-            answer = self._proxy_evaluate(state, payload)
+            answer = self._proxy_evaluate(state, body)
+            spills = index + 1 < len(candidates)
             if answer is None or answer[0] == 503:
                 # Dead socket / shutting-down replica: eject and fail over.
                 self._mark_failure(state.name, during="proxy")
-                if index + 1 < len(candidates):
+                if spills:
                     with self._lock:
                         self.failovers += 1
                 continue
             if answer[0] == 429:
                 overloaded = answer
                 continue
-            with self._lock:
-                self.routed += 1
-                state.proxied += 1
-            self.latencies.record(time.monotonic() - started)
-            return answer
+            if answer[0] == 500:
+                failed = (state, answer)
+                if spills:
+                    with self._lock:
+                        self.failovers += 1
+                continue
+            return self._routed(state, answer, started)
         if overloaded is not None:
             with self._lock:
                 self.shed += 1
             return overloaded
+        if failed is not None:
+            return self._routed(*failed, started)
         with self._lock:
             self.unavailable += 1
         raise FleetUnavailableError(
@@ -497,15 +516,20 @@ class FrontService:
             "unreachable"
         )
 
-    def _proxy_evaluate(
-        self, state: ReplicaState, payload: object
-    ) -> Optional[Tuple[int, Dict[str, str], Dict[str, object]]]:
-        """POST one payload to one replica; ``None`` on transport failure."""
+    def _routed(self, state: ReplicaState, answer: Answer, started: float) -> Answer:
+        """Count one replica answer passed back to the client."""
+        with self._lock:
+            self.routed += 1
+            state.proxied += 1
+        self.latencies.record(time.monotonic() - started)
+        return answer
+
+    def _proxy_evaluate(self, state: ReplicaState, body: bytes) -> Optional[Answer]:
+        """POST one body to one replica; ``None`` on transport failure."""
         connection = http.client.HTTPConnection(
             state.host, state.port, timeout=self.config.request_timeout
         )
         try:
-            body = json.dumps(payload).encode("utf-8")
             connection.request(
                 "POST",
                 "/v1/evaluate",
@@ -514,15 +538,12 @@ class FrontService:
             )
             response = connection.getresponse()
             raw = response.read()
-            parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            if not isinstance(parsed, dict):
-                return None
             headers: Dict[str, str] = {}
             retry_after = response.getheader("Retry-After")
             if retry_after is not None:
                 headers["Retry-After"] = retry_after
-            return response.status, headers, parsed
-        except (ConnectionError, socket.timeout, OSError, ValueError):
+            return response.status, headers, raw
+        except (http.client.HTTPException, OSError):
             return None
         finally:
             connection.close()

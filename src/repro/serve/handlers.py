@@ -6,7 +6,8 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
 (:class:`~repro.serve.server.EvalServer`'s ThreadingHTTPServer).  Routes:
 
 * ``POST /v1/evaluate`` — admit one wire request, block until the worker
-  pool resolves it, answer ``200 {"result": ...}``.  Failures answer the
+  pool resolves it, answer ``200 {"result": ...}`` (arrays as base64
+  little-endian bytes, see :mod:`repro.serve.codec`).  Failures answer the
   typed error payloads of :func:`repro.serve.codec.error_payload`; overload
   answers ``429`` with a ``Retry-After`` header (the adaptive admission
   controller's measured-drain estimate) instead of queuing without bound.
@@ -20,8 +21,9 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
 (:class:`~repro.serve.front.FrontServer`).  Routes:
 
 * ``POST /v1/evaluate`` — fleet admission check, then consistent-routing
-  proxy to the model's replica (with deterministic failover); replica
-  answers pass through verbatim, so responses stay bit-identical.
+  proxy to the model's replica (with deterministic failover).  The request
+  bytes are forwarded as read and the replica's answer is written back as
+  the bytes it sent, unparsed, so responses stay bit-identical.
 * ``GET /v1/models`` — the fleet-wide model/dataset union.
 * ``GET /v1/fleet`` — ring assignments, per-replica health, ejection
   counters: the sharding introspection surface.
@@ -48,6 +50,7 @@ from repro.serve.codec import (
     UnknownModelError,
     encode_result,
     error_payload,
+    parse_body,
 )
 
 #: Largest accepted request body; a bounded queue deserves a bounded parser.
@@ -55,14 +58,14 @@ MAX_BODY_BYTES = 1 << 20
 
 
 class _JsonHandler(BaseHTTPRequestHandler):
-    """Shared JSON plumbing: body parsing, typed payloads, HTTP accounting.
+    """Shared JSON plumbing: body reading, typed payloads, HTTP accounting.
 
     Subclasses route requests onto the service object their server
     carries; the service only needs a ``record_http(route, status)`` hook
     for the ``/metrics`` request table.
     """
 
-    server_version = "repro-serve/1.3"
+    server_version = "repro-serve/1.4"
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging (metrics cover it)."""
@@ -78,7 +81,15 @@ class _JsonHandler(BaseHTTPRequestHandler):
         payload: Dict[str, object],
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(route, status, json.dumps(payload).encode("utf-8"), headers)
+
+    def _send_body(
+        self,
+        route: str,
+        status: int,
+        body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -110,8 +121,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
         )
 
     # ------------------------------------------------------------------
-    def _read_json_body(self) -> object:
-        """The parsed JSON body, or :class:`CodecError` on any malformation."""
+    def _read_body(self) -> bytes:
+        """The request body, or :class:`CodecError` when its length is bad."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -123,11 +134,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        body = self.rfile.read(length)
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise CodecError(f"request body is not valid JSON: {error}") from None
+        return self.rfile.read(length)
 
 
 class ServeHandler(_JsonHandler):
@@ -159,8 +166,7 @@ class ServeHandler(_JsonHandler):
             return
         route = "POST /v1/evaluate"
         try:
-            payload = self._read_json_body()
-            job = self.service.enqueue(payload)
+            job = self.service.enqueue(parse_body(self._read_body()))
         except (
             QueueFullError,  # 429, Retry-After mirrored from the payload
             ServiceClosedError,  # 503
@@ -226,8 +232,7 @@ class FrontHandler(_JsonHandler):
             return
         route = "POST /v1/evaluate"
         try:
-            payload = self._read_json_body()
-            status, headers, body = self.front.evaluate(payload)
+            status, headers, body = self.front.evaluate(self._read_body())
         except (
             QueueFullError,  # fleet-level shed: 429 before any backend socket
             ServiceClosedError,  # 503: front shutting down
@@ -242,4 +247,4 @@ class FrontHandler(_JsonHandler):
                 {"error": {"type": "no-healthy-replica", "message": str(error)}},
             )
             return
-        self._send_json(route, status, body, headers=headers)
+        self._send_body(route, status, body, headers=headers)

@@ -3,14 +3,16 @@
 The protocol promise is *losslessness*: any :class:`EvalRequest` the
 protocol allows survives ``encode → json.dumps → json.loads → decode``
 with every field intact (models and datasets round-trip by registry name),
-and any :class:`EvalResult` survives the same trip **bit-identically**
-(JSON serializes floats via ``repr``, which is exact for float64).
-Hypothesis drives the field combinations, including multi-point
-(copies, spf) grids and the chip-only capability flags.
+and any :class:`EvalResult` survives the same trip **bit-identically** in
+its served dtypes (arrays travel as their little-endian bytes, so
+``-0.0``, infinities and NaN payloads survive too).  Hypothesis drives the
+field combinations, including multi-point (copies, spf) grids and the
+chip-only capability flags.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.serve.codec import (
     encode_array,
     encode_request,
     encode_result,
+    error_payload,
     to_eval_request,
 )
 
@@ -143,7 +146,7 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
         scores=scores,
         accuracy=accuracy,
         labels=rng.integers(0, classes, size=batch).astype(np.int64),
-        class_neuron_counts=rng.integers(1, 9, size=classes).astype(np.int64),
+        class_neuron_counts=rng.integers(1, 9, size=classes).astype(np.float64),
         cores=(np.arange(n_copies, dtype=np.int64) + 1) * 4,
         seed=None if seed % 2 else seed,
         repeats=repeats,
@@ -156,6 +159,7 @@ def test_result_roundtrip_is_bit_identical(shape, seed, scale, with_counters):
         assert original.shape == roundtripped.shape
         assert original.tobytes() == roundtripped.tobytes()
     if with_counters:
+        assert decoded.spike_counters.dtype == spike_counters.dtype
         assert decoded.spike_counters.tobytes() == spike_counters.tobytes()
     else:
         assert decoded.spike_counters is None
@@ -184,6 +188,34 @@ def test_array_roundtrip_any_shape_and_dtype(shape, dtype, seed):
     assert decoded.dtype == array.dtype
     assert decoded.shape == array.shape
     assert decoded.tobytes() == array.tobytes()
+    assert decoded.flags.writeable
+    assert decoded.dtype.isnative
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+    values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12),
+)
+def test_float64_roundtrip_keeps_every_bit_pattern(bits, values):
+    """-0.0, both infinities and NaNs (payload bits included) survive."""
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    array = np.concatenate(
+        [
+            np.asarray(bits, dtype=np.uint64).view(np.float64),
+            np.asarray(values + specials, dtype=np.float64),
+        ]
+    )
+    decoded = decode_array(json.loads(json.dumps(encode_array(array))))
+    assert decoded.dtype == np.float64
+    assert decoded.tobytes() == array.tobytes()
+
+
+def test_big_endian_input_decodes_to_the_same_values():
+    array = np.arange(6, dtype=">i8").reshape(2, 3)
+    decoded = decode_array(encode_array(array))
+    assert decoded.dtype.isnative
+    assert np.array_equal(decoded, array)
 
 
 # ----------------------------------------------------------------------
@@ -251,22 +283,71 @@ def test_unknown_model_and_dataset_are_typed():
         )
 
 
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
 def test_int64_array_rejects_lossy_float_and_bool_entries():
-    """np.asarray would truncate 1.7 and coerce True; the codec must not."""
+    """The old flat ``data`` list form, whose float and bool entries numpy
+    would silently truncate or coerce, is no longer a wire array."""
     good = encode_array(np.arange(2, dtype=np.int64))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(good, data=[1.7, 2]))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(good, data=[True, 2]))
-    with pytest.raises(CodecError, match="do not match dtype"):
-        decode_array(dict(encode_array(np.zeros(1)), data=[False]))
+    legacy = {"dtype": "int64", "shape": [2]}
+    for data in ([1.7, 2], [True, 2], [1, 2]):
+        with pytest.raises(CodecError, match="exactly the keys"):
+            decode_array(dict(legacy, data=data))
+    with pytest.raises(CodecError, match="exactly the keys"):
+        decode_array(dict(good, data=[1, 2]))
 
 
 def test_array_shape_data_mismatch_rejected():
     good = encode_array(np.arange(6, dtype=np.int64).reshape(2, 3))
-    bad = dict(good, data=good["data"][:-1])
-    with pytest.raises(CodecError, match="entries"):
-        decode_array(bad)
+    raw = base64.b64decode(good["b64"])
+    for wrong in (raw[:-1], raw[:-8], raw + b"\x00" * 8, b""):
+        with pytest.raises(CodecError, match="bytes"):
+            decode_array(dict(good, b64=_b64(wrong)))
+    with pytest.raises(CodecError, match="bytes"):
+        decode_array(dict(good, shape=[3, 3]))
+
+
+def test_b64_must_be_a_base64_string():
+    good = encode_array(np.zeros(2))
+    for text in ("not base64!", good["b64"] + "=", good["b64"][:-1], "é" * 4):
+        with pytest.raises(CodecError, match="not base64"):
+            decode_array(dict(good, b64=text))
+    for value in (None, 0, [good["b64"]], good["b64"].encode()):
+        with pytest.raises(CodecError, match="b64 must be a string"):
+            decode_array(dict(good, b64=value))
+
+
+def test_unknown_dtype_rejected():
+    good = encode_array(np.zeros(2))
+    for dtype in ("float32", "<f8", "object", None, 8):
+        with pytest.raises(CodecError, match="unknown dtype"):
+            decode_array(dict(good, dtype=dtype))
+    with pytest.raises(CodecError, match="not wire-encodable"):
+        encode_array(np.zeros(2, dtype=np.float32))
+
+
+def test_shape_must_be_non_negative_integers():
+    good = encode_array(np.zeros(0))
+    for shape in ([-1], [True], [0.0], "0", None, 0):
+        with pytest.raises(CodecError, match="shape"):
+            decode_array(dict(good, shape=shape))
+
+
+def test_bool_bytes_must_be_zero_or_one():
+    good = encode_array(np.array([True, False]))
+    assert decode_array(dict(good, b64=_b64(b"\x01\x00"))).tolist() == [True, False]
+    with pytest.raises(CodecError, match="bool bytes"):
+        decode_array(dict(good, b64=_b64(b"\x01\x02")))
+
+
+def test_bad_result_array_is_a_typed_400():
+    with pytest.raises(CodecError) as excinfo:
+        decode_array({"dtype": "bool", "shape": [1], "b64": "Ag=="})
+    status, payload = error_payload(excinfo.value)
+    assert status == 400
+    assert payload["error"]["type"] == "request-validation"
 
 
 def test_result_missing_field_rejected():
@@ -286,3 +367,40 @@ def test_result_missing_field_rejected():
     payload.pop("scores")
     with pytest.raises(CodecError, match="missing fields"):
         decode_result(payload)
+
+
+# ----------------------------------------------------------------------
+# served results: every array keeps its dtype, shape and bytes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["vectorized", "chip", "board"])
+def test_served_result_roundtrip_keeps_dtype_shape_and_bytes(tiny_context, backend):
+    from repro.api import Session
+    from repro.serve import ModelRegistry
+
+    registry = ModelRegistry.from_context(tiny_context, methods=("tea",))
+    counters = backend != "vectorized"
+    result = Session().evaluate(
+        EvalRequest(
+            model=registry.model("tea"),
+            dataset=registry.dataset("test"),
+            copy_levels=(1, 2),
+            spf_levels=(1, 2),
+            repeats=2,
+            seed=0,
+            max_samples=12,
+            collect_spike_counters=counters,
+        ),
+        backend=backend,
+    )
+    decoded = decode_result(json.loads(json.dumps(encode_result(result))))
+    names = ["scores", "accuracy", "labels", "class_neuron_counts", "cores"]
+    if counters:
+        names.append("spike_counters")
+    assert result.class_neuron_counts.dtype == np.float64
+    for name in names:
+        served, roundtripped = getattr(result, name), getattr(decoded, name)
+        assert roundtripped.dtype == served.dtype, name
+        assert roundtripped.shape == served.shape, name
+        assert roundtripped.tobytes() == served.tobytes(), name
+    for name in ("backend", "copy_levels", "spf_levels", "seed", "repeats"):
+        assert getattr(decoded, name) == getattr(result, name), name

@@ -14,12 +14,18 @@ The front tier's promises, each pinned here:
   latency windows;
 * validation failures (400) are answered at the front without burning a
   backend connection, while replica answers (404s, 429s) pass through
-  with their typed payloads intact.
+  with their typed payloads intact;
+* the front forwards bodies unparsed: a replica's answer reaches the
+  client byte for byte, and a replica answering 500 spills to the next
+  replica in preference order like a 429 does.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -35,7 +41,8 @@ from repro.serve import (
     ServeError,
     ServiceOverloadedError,
 )
-from repro.serve.front import FrontConfig, FrontServer
+from repro.serve.front import FrontConfig, FrontServer, model_fingerprint
+from repro.serve.ring import ReplicaRing
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +92,88 @@ def _replica_received(replicas):
         ]
         for replica in replicas
     ]
+
+
+def _post(port, body: bytes):
+    """POST raw bytes to ``/v1/evaluate``; ``(status, body bytes)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120.0)
+    try:
+        connection.request(
+            "POST",
+            "/v1/evaluate",
+            body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+class BrokenReplica:
+    """A replica that is alive (``/healthz`` 200) but answers every
+    evaluation with the same 500 ``internal-error`` body.
+
+    ``models`` is the ``/v1/models`` payload it advertises (404 when
+    ``None``), which sets the routing key the front derives for a model.
+    """
+
+    def __init__(self):
+        self.posts = 0
+        self.models = None
+        # Compact separators: a front that parsed and re-dumped the answer
+        # would change these bytes.
+        self.body = json.dumps(
+            {"error": {"type": "internal-error", "message": "BrokenProcessPool"}},
+            separators=(",", ":"),
+        ).encode("utf-8")
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def _answer(self, status, body):
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_GET(self):
+                if self.path == "/healthz":
+                    self._answer(200, b'{"status": "ok"}')
+                elif self.path == "/v1/models" and stub.models is not None:
+                    self._answer(200, json.dumps(stub.models).encode("utf-8"))
+                else:
+                    self._answer(404, b"{}")
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                stub.posts += 1
+                self._answer(500, stub.body)
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.port = self.httpd.server_address[1]
+        self.spec = f"127.0.0.1:{self.port}"
+        threading.Thread(target=self.httpd.serve_forever, daemon=True).start()
+
+    def close(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+
+
+def _ranked_first(spec, other):
+    """A ``/v1/models`` payload whose ``tea`` fingerprint the ring ranks on
+    ``spec`` ahead of ``other``.  The front routes a model by the first
+    fingerprint advertised in replica order, so a replica listed first that
+    advertises this payload is the model's home."""
+    for salt in range(64):
+        entry = {"name": "tea", "salt": salt}
+        key = model_fingerprint(entry)
+        if ReplicaRing((spec, other)).preference(key)[0] == spec:
+            return {"models": [entry], "datasets": [], "backends": []}
+    raise AssertionError("no salt ranked the replica first")
 
 
 def assert_fleet_invariants(fleet_requests):
@@ -137,6 +226,23 @@ def test_routed_chip_result_bit_identical_including_counters(registry, client):
     assert served.backend == "chip"
     assert np.array_equal(served.class_counts(), direct.class_counts())
     assert np.array_equal(served.spike_counters, direct.spike_counters)
+
+
+def test_front_body_is_the_replica_body_byte_for_byte(fleet, client):
+    """The front forwards the replica's answer unparsed: the same seeded
+    request answers the same bytes through the front as from its home."""
+    front, replicas = fleet
+    body = json.dumps(
+        {"model": "tea", "copy_levels": [1, 2], "spf_levels": [1, 2], "seed": 17}
+    ).encode("utf-8")
+    home = client.fleet()["assignments"]["tea"]
+    home_port = int(home.rsplit(":", 1)[1])
+    status, through_front = _post(front.port, body)
+    assert status == 200
+    direct_status, direct = _post(home_port, body)
+    assert direct_status == 200
+    assert through_front == direct
+    assert json.loads(through_front)["result"]["scores"]["dtype"] == "float64"
 
 
 def test_same_model_requests_stick_to_one_replica(fleet, client):
@@ -462,3 +568,76 @@ def test_per_replica_429_spills_to_the_next_preference(registry):
             replica.close()
         for thread in hung:
             thread.join(timeout=30)
+
+
+def test_replica_500_spills_to_the_next_preference(registry):
+    """A replica that is up but answers 500 (a broken worker pool) must not
+    reach the client while the next replica in preference order can serve:
+    the front spills, counts a failover, and leaves ejection to /healthz."""
+    healthy = EvalServer(
+        registry, ServeConfig(port=0, workers=2, queue_depth=16)
+    ).start()
+    healthy_spec = f"127.0.0.1:{healthy.port}"
+    stub = BrokenReplica()
+    stub.models = _ranked_first(stub.spec, healthy_spec)
+    config = FrontConfig(
+        port=0,
+        replicas=(stub.spec, healthy_spec),
+        poll_interval=0.1,
+        request_timeout=120.0,
+    )
+    front = FrontServer(config).start()
+    client = ServeClient(port=front.port, timeout=120.0)
+    try:
+        assert client.fleet()["assignments"]["tea"] == stub.spec
+        served = client.evaluate(
+            model="tea", copy_levels=[1], spf_levels=[1], seed=5
+        )
+        direct = Session(cache=ScoreCache()).evaluate(
+            _direct(registry, copy_levels=(1,), spf_levels=(1,), seed=5)
+        )
+        assert np.array_equal(served.scores, direct.scores)
+        assert stub.posts == 1
+        front_block = client.metrics()["front"]
+        assert front_block["failovers"] == 1
+        assert front_block["routed"] == 1
+        view = {entry["name"]: entry for entry in client.fleet()["replicas"]}
+        assert view[stub.spec]["healthy"]
+        assert view[stub.spec]["ejections"] == 0
+    finally:
+        front.close()
+        stub.close()
+        healthy.close()
+
+
+def test_every_replica_500_passes_the_last_500_through():
+    """With no replica able to serve, the last 500 reaches the client as
+    the bytes that replica sent."""
+    first = BrokenReplica()
+    second = BrokenReplica()
+    second.body = second.body.replace(b"Pool", b"Pool (second)")
+    config = FrontConfig(
+        port=0,
+        replicas=(first.spec, second.spec),
+        poll_interval=0.1,
+        request_timeout=60.0,
+    )
+    front = FrontServer(config).start()
+    try:
+        order = front.service.ring.preference("tea")
+        last = {first.spec: first, second.spec: second}[order[-1]]
+        status, body = _post(front.port, b'{"model": "tea"}')
+        assert status == 500
+        assert body == last.body
+        assert first.posts == second.posts == 1
+        front_block = ServeClient(port=front.port, timeout=30.0).metrics()["front"]
+        assert front_block["failovers"] == 1
+        assert front_block["received"] == front_block["routed"] == 1
+        with pytest.raises(ServeError) as excinfo:
+            ServeClient(port=front.port, timeout=30.0).evaluate(model="tea")
+        assert excinfo.value.status == 500
+        assert excinfo.value.error_type == "internal-error"
+    finally:
+        front.close()
+        first.close()
+        second.close()
