@@ -19,8 +19,9 @@ records land in the same JSON file.
 A third section (``--grid``) times a full ``(copies, spf, repeats)``
 **grid sweep**: the repeat-folded single-pass path (all repeats' copies in
 one chip image, one pass per spf level, every copy level an exact cumsum
-prefix — the engine behind :class:`repro.api.backends.ChipBackend`)
-against the per-cell loop (one ``c``-copy program + pass per (copy level,
+prefix — the engine behind :class:`repro.api.backends.ChipBackend`, which
+serves a deterministic grid's levels from one max-spf pass and a
+stochastic-synapse grid with one pass per level) against the per-cell loop (one ``c``-copy program + pass per (copy level,
 spf, repeat) grid cell), enforcing bit-identical class counts and spike
 counters and recording ``grid_speedup``.
 
@@ -419,8 +420,9 @@ def bench_grid(
     repeat) cell, ``c`` copies programmed for copy level ``c`` — which is
     what a sweep costs without the cumsum prefix reuse and repeat folding.
     The grid side programs all repeats' copies side by side and serves the
-    whole grid from one folded pass per spf level, exactly as
-    :class:`repro.api.backends.ChipBackend` does.  Both sides start from
+    whole grid from one folded pass per spf level, as
+    :class:`repro.api.backends.ChipBackend` does for stochastic-synapse
+    grids (a deterministic grid is one max-spf pass there).  Both sides start from
     the same prepared deployments and encoded volumes (that per-(spf,
     repeat) preparation is identical either way, drawn from the canonical
     ``spawn_rngs`` randomness layout the backend clones per level), so the

@@ -8,11 +8,15 @@ equivalence invariant:
 * ``chip`` — integer readout class counts bit-identical to ``vectorized``,
   and the multi-copy chip image bit-identical (counts and per-core spike
   counters, deterministic and stochastic-synapse mode) to the test suite's
-  per-sample scalar oracle (``tests/chip_oracle.py``);
+  per-sample scalar oracle (``tests/chip_oracle.py``); a three-level spf
+  grid bit-identical to its single-level requests in both modes (the
+  deterministic grid reads every level out of one max-spf pass);
 * ``board`` — counts, spike counters, and accuracy bit-identical to the
   ``chip`` backend on the same request (deterministic and
   stochastic-synapse mode), and still identical on chips small enough to
-  split every copy across the mesh;
+  split every copy across the mesh; the same three-level grid check on
+  the unsplit board and on the split-copy board under ``link_delay=1``
+  (which keeps one pass per level);
 * ``reference`` — deterministic: two evaluations of the same request are
   bit-identical, and accuracy lies in [0, 1].
 
@@ -65,6 +69,38 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
+def grid_failures(evaluate, request: EvalRequest, label: str) -> list:
+    """A three-level spf grid against its single-level requests.
+
+    Every grid column must equal the single-level request's class counts,
+    and the grid's spike counters those of the largest single level.
+    """
+    spf = request.max_spf
+    grid_request = replace(
+        request,
+        spf_levels=tuple(sorted({1, spf, 2 * spf + 1})),
+        collect_spike_counters=True,
+    )
+    grid = evaluate(grid_request)
+    failures = []
+    for column, level in enumerate(grid_request.spf_levels):
+        single = evaluate(replace(grid_request, spf_levels=(level,)))
+        if not np.array_equal(
+            grid.class_counts()[:, :, column], single.class_counts()[:, :, 0]
+        ):
+            failures.append(
+                f"{label} grid class counts at spf={level} diverged from the "
+                "single-level request"
+            )
+    # spf_levels ascend: ``single`` is now the largest level.
+    if not np.array_equal(grid.spike_counters, single.spike_counters):
+        failures.append(
+            f"{label} grid spike counters diverged from the largest "
+            "single-level request"
+        )
+    return failures
+
+
 def main() -> None:
     args = parse_args()
     context = ExperimentContext(
@@ -115,25 +151,21 @@ def main() -> None:
                     f"multi-copy chip spike counters diverged from the "
                     f"scalar oracle ({label})"
                 )
-        # Grid path: a multi-spf request (one folded pass per level) must
-        # match the stack of single-level requests cell for cell.
-        grid_request = replace(request, spf_levels=tuple(sorted({1, args.spf})))
-        grid = session.evaluate(grid_request, backend="chip")
-        for column, spf in enumerate(grid_request.spf_levels):
-            single = session.evaluate(
-                replace(request, spf_levels=(spf,)), backend="chip"
+        # Grid path: a multi-spf request (one max-spf pass read out at every
+        # level, or one pass per level with stochastic synapses) must match
+        # the stack of single-level requests cell for cell.
+        for variant in (request, replace(request, stochastic_synapses=True)):
+            label = "stochastic" if variant.stochastic_synapses else "deterministic"
+            failures += grid_failures(
+                lambda r: session.evaluate(r, backend="chip"),
+                variant,
+                f"chip ({label})",
             )
-            if not np.array_equal(
-                grid.class_counts()[:, :, column], single.class_counts()[:, :, 0]
-            ):
-                failures.append(
-                    f"chip grid class counts at spf={spf} diverged from the "
-                    f"single-level request"
-                )
         invariant = (
             "class counts bit-identical to vectorized; multi-copy image "
             "bit-identical to the scalar oracle (incl. stochastic synapses); "
-            "spf grid bit-identical to single-level requests"
+            "spf grid bit-identical to single-level requests (incl. "
+            "stochastic synapses)"
         )
     elif args.backend == "board":
         counters = replace(request, collect_spike_counters=True)
@@ -153,7 +185,8 @@ def main() -> None:
         # chip boundaries; link handoff must not change a single count.
         cores = request.model.architecture.cores_per_network
         small_chip = ChipConfig(grid_shape=(1, max(1, (cores + 1) // 2)))
-        split = BoardBackend(chip_config=small_chip, link_delay=1).evaluate(counters)
+        split_backend = BoardBackend(chip_config=small_chip, link_delay=1)
+        split = split_backend.evaluate(counters)
         chip_ref = session.evaluate(counters, backend="chip")
         if not np.array_equal(split.class_counts(), chip_ref.class_counts()):
             failures.append(
@@ -163,9 +196,20 @@ def main() -> None:
             failures.append(
                 "split-copy board spike counters diverged from the chip backend"
             )
+        # Grid path: the unsplit board reads every level out of one pass
+        # per repeat; the split-copy board under link_delay=1 cannot (its
+        # paths differ in latency) and keeps one pass per level.
+        failures += grid_failures(
+            lambda r: session.evaluate(r, backend="board"), request, "board"
+        )
+        failures += grid_failures(
+            split_backend.evaluate, request, "split-copy board (link_delay=1)"
+        )
         invariant = (
             "counts and spike counters bit-identical to the chip backend "
-            "(incl. stochastic synapses and split copies under link delay)"
+            "(incl. stochastic synapses and split copies under link delay); "
+            "spf grid bit-identical to single-level requests (unsplit and "
+            "split-copy boards)"
         )
     else:
         again = session.evaluate(request, backend="reference")

@@ -14,20 +14,22 @@ Four backends wrap the repo's evaluation engines behind one
 * ``chip`` — the batched cycle-accurate TrueNorth simulator
   (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`): all
   deployed copies of **all repeats** programmed side by side into one
-  multi-copy chip image per spf level, lock-step ticks over
-  ``repeats x copies x batch`` rows, per-core spike counters,
-  router-delay control, and stochastic-synapse sweeps on per-copy LFSR
-  streams.  Full ``(copies, spf, repeats)`` grids are served in
-  ``len(spf_levels)`` passes (one folded pass per level, optionally
-  fanned over worker processes); copy and repeat levels fall out of one
-  pass via exact integer cumsums.
+  multi-copy chip image, lock-step ticks over ``repeats x copies x batch``
+  rows, per-core spike counters, router-delay control, and
+  stochastic-synapse sweeps on per-copy LFSR streams.  A deterministic
+  ``(copies, spf, repeats)`` grid is served by **one** max-spf pass whose
+  readout is snapshotted at every level's prefix; copy and repeat levels
+  fall out of that pass via exact integer cumsums.  Stochastic-synapse
+  grids keep one pass per spf level (optionally fanned over worker
+  processes).
 * ``board`` — the multi-chip board mesh
   (:func:`repro.mapping.pipeline.run_board_inference_multicopy`):
   duplication sweeps whose core footprint overflows one chip spill onto a
   mesh of chips, boundary-crossing spikes pay a configurable per-hop link
   delay, and ``workers=N`` shards each pass over its placement segments
-  (one worker per simulated chip group).  On a 1x1 board with ideal
-  links it is bit-identical to ``chip``.
+  (one worker per simulated chip group).  Spf levels share one pass per
+  repeat on the chip backend's terms whenever no mesh link lengthens a
+  path.  On a 1x1 board with ideal links it is bit-identical to ``chip``.
 
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
@@ -59,8 +61,9 @@ from repro.eval.engine import evaluate_scores_reference
 from repro.eval.runner import ScoreCache, SweepRunner, parallel_map
 from repro.mapping.corelet import CoreletNetwork, build_corelets
 from repro.mapping.duplication import DuplicatedDeployment, deploy_with_copies
-from repro.mapping.placement import place_on_board
+from repro.mapping.placement import BoardPlacement, place_on_board
 from repro.mapping.pipeline import (
+    board_link_latency,
     board_spike_counters,
     program_board_multicopy,
     program_chip_multicopy,
@@ -334,10 +337,27 @@ class ReferenceBackend:
         )
 
 
-def _evaluate_chip_level(
+def _spf_groups(request: EvalRequest, shared_pass: bool) -> List[Tuple[int, ...]]:
+    """The spf levels each cycle-accurate pass of a request serves.
+
+    A deterministic request on uniform-latency hardware (``shared_pass``)
+    serves every level from one max-spf pass: the encoder draws frames
+    spf-major and the deployment is drawn first from the same cloned
+    generator, so the spf ``k`` pass is the first ``k`` input ticks of the
+    max-spf pass, read out at its prefix snapshot (see
+    :mod:`repro.mapping.pipeline`).  A ``stochastic_synapses`` request
+    keeps one pass per level: its per-copy LFSR seeds are drawn after
+    encoding, so they differ per level.
+    """
+    if shared_pass and not request.stochastic_synapses:
+        return [request.spf_levels]
+    return [(spf,) for spf in request.spf_levels]
+
+
+def _evaluate_chip_levels(
     model: TrueNorthModel,
     features: np.ndarray,
-    spf: int,
+    spf_levels: Tuple[int, ...],
     repeat_rngs: List[np.random.Generator],
     network: CoreletNetwork,
     max_copies: int,
@@ -345,22 +365,25 @@ def _evaluate_chip_level(
     collect_counters: bool,
     router_delay: Optional[int],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One spf level of a chip grid: all repeats folded into one pass.
+    """One pass of a chip grid: all repeats folded, ``spf_levels`` read out.
 
     Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
-    can pickle it into worker processes — the chip backend shards over spf
-    levels, whose passes are fully independent (each clones the pristine
+    can pickle it into worker processes — the chip backend shards over its
+    passes, which are fully independent (each clones the pristine
     per-repeat generators, see :func:`repro.utils.rng.clone_rng`).
 
-    Returns ``(counts, counters)`` with ``counts`` shaped
-    ``(repeats, max_copies, batch, classes)`` (integer readout counts) and
-    ``counters`` shaped ``(repeats, max_copies, cores_per_copy, batch)`` or
-    ``None``.  The ``repeats * max_copies`` copies of all repeats are
-    programmed side by side into **one** chip image and the stacked
-    per-repeat input volumes ride the chip's grouped-input form (repeat
-    ``r``'s volume feeds exactly its block of ``max_copies`` copy rows).
+    The pass encodes ``max(spf_levels)`` frames and reads every level out
+    of one readout snapshot per level (``readout_prefixes``).  Returns
+    ``(counts, counters)`` with ``counts`` shaped ``(len(spf_levels),
+    repeats, max_copies, batch, classes)`` (integer readout counts) and
+    ``counters`` — those of the whole pass, i.e. of the largest level —
+    shaped ``(repeats, max_copies, cores_per_copy, batch)`` or ``None``.
+    The ``repeats * max_copies`` copies of all repeats are programmed side
+    by side into **one** chip image and the stacked per-repeat input
+    volumes ride the chip's grouped-input form (repeat ``r``'s volume
+    feeds exactly its block of ``max_copies`` copy rows).
     """
-    encoder = StochasticEncoder(spikes_per_frame=spf)
+    encoder = StochasticEncoder(spikes_per_frame=max(spf_levels))
     neuron_config = stochastic_neuron_config(network) if stochastic else None
     repeats = len(repeat_rngs)
     deployments: List[DuplicatedDeployment] = []
@@ -395,7 +418,12 @@ def _evaluate_chip_level(
         flat_copies, neuron_config=neuron_config, router_delay=router_delay
     )
     counts = run_chip_inference_multicopy(
-        chip, flat_copies, core_ids, np.stack(volumes), copy_seeds=copy_seeds
+        chip,
+        flat_copies,
+        core_ids,
+        np.stack(volumes),
+        copy_seeds=copy_seeds,
+        readout_prefixes=spf_levels,
     )
     counters = None
     if collect_counters:
@@ -405,14 +433,14 @@ def _evaluate_chip_level(
             axis=1,
         )  # (repeats * max_copies, cores_per_copy, batch)
         counters = stacked.reshape((repeats, max_copies) + stacked.shape[1:])
-    return counts.reshape(repeats, max_copies, batch, -1), counters
+    return counts.reshape(len(spf_levels), repeats, max_copies, batch, -1), counters
 
 
 class ChipBackend:
     """The cycle-accurate path: batched TrueNorth chip simulation.
 
     The requested copies of **all repeats** are programmed side by side
-    into **one** multi-copy chip image per spf level
+    into **one** multi-copy chip image per pass
     (:func:`~repro.mapping.pipeline.program_chip_multicopy`: stacked
     per-core crossbar tensors, shared route table, per-copy LFSR streams)
     and the whole ``repeats x copies x batch`` volume advances in
@@ -426,13 +454,20 @@ class ChipBackend:
     (copies, spf, repeats) stochastic sweeps run at batch speed with
     hardware semantics.
 
-    Full grids are served in ``len(spf_levels)`` passes (``spf_grids``
-    capability): spike-train realizations differ per spf level, so levels
-    cannot share one pass, but they are fully independent — each level
-    re-consumes the pristine per-repeat generators (:func:`repro.utils.rng.clone_rng`),
-    and ``workers=N`` fans the levels over worker processes
+    A deterministic grid (``spf_grids`` capability) is served by **one**
+    pass: the spf ``k`` spike train is the first ``k`` frames of the
+    max-spf train and the deployment is the same at every level, so the
+    chip's exact feed-forward latency lets every level be read out of a
+    class-count snapshot of the max-spf pass
+    (``readout_prefixes``; see :mod:`repro.mapping.pipeline`).  A
+    ``stochastic_synapses`` grid keeps one pass per spf level, because its
+    per-copy LFSR seeds are drawn after encoding and so differ per level.
+    Those passes are fully independent — each re-consumes the pristine
+    per-repeat generators (:func:`repro.utils.rng.clone_rng`) — and
+    ``workers=N`` fans them over worker processes
     (:func:`repro.eval.runner.parallel_map`), bit-identical at any worker
-    count.  Copy and repeat levels fall out of one pass: copy levels are
+    count; a deterministic request has a single pass and runs in-process.
+    Copy and repeat levels fall out of each pass: copy levels are
     nested prefixes via an exact integer cumsum over the per-copy readout
     counts, repeats are independent rows of the folded image.  Scores are
     the class-mean convention ``counts / n_k``, so
@@ -441,8 +476,8 @@ class ChipBackend:
     against the vectorized backend.
 
     Args:
-        workers: fan the independent spf-level passes over N processes
-            (``None`` = in-process, sequential).
+        workers: fan the per-spf-level passes of stochastic-synapse
+            grids over N processes (``None`` = in-process, sequential).
         cores_per_chip: advertised core budget of the one simulated chip
             (default: a stock TrueNorth chip's 64x64 grid).  Requests whose
             ``max_copies x cores_per_network`` footprint overflows it are
@@ -471,8 +506,9 @@ class ChipBackend:
             name=self.name,
             description=(
                 "batched cycle-accurate TrueNorth simulation (repeat-folded "
-                "multi-copy chip images, one pass per spf level, spike "
-                "counters, router delay, stochastic synapses)"
+                "multi-copy chip images, every spf level read out of one "
+                "max-spf pass, spike counters, router delay, stochastic "
+                "synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
@@ -489,13 +525,13 @@ class ChipBackend:
         n_k = class_neuron_counts(network)
         self.passes += 1
         repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        level_results = parallel_map(
-            _evaluate_chip_level,
+        group_results = parallel_map(
+            _evaluate_chip_levels,
             [
                 (
                     request.model,
                     evaluation.features,
-                    spf,
+                    levels,
                     repeat_rngs,
                     network,
                     request.max_copies,
@@ -503,17 +539,16 @@ class ChipBackend:
                     request.collect_spike_counters,
                     request.router_delay,
                 )
-                for spf in request.spf_levels
+                for levels in _spf_groups(request, shared_pass=True)
             ],
             self.workers,
         )
+        # Per spf level, ascending: (repeats, max_copies, batch, classes).
+        level_counts = [level for counts, _ in group_results for level in counts]
         tensors: List[np.ndarray] = []
         for repeat in range(request.repeats):
             stacked = np.stack(
-                [
-                    np.cumsum(counts[repeat], axis=0)
-                    for counts, _ in level_results
-                ],
+                [np.cumsum(counts[repeat], axis=0) for counts in level_counts],
                 axis=1,
             )
             # (max_copies, n_levels, batch, classes) ints -> class-mean
@@ -522,9 +557,9 @@ class ChipBackend:
             tensors.append(stacked.astype(float) / n_k)
         spike_counters = None
         if request.collect_spike_counters:
-            # spf_levels is sorted ascending; the counters of the largest
-            # level are the ones a single-level request at max_spf reports.
-            spike_counters = level_results[-1][1]
+            # spf_levels is sorted ascending; the last pass runs the largest
+            # level, whose counters a single-level request at max_spf reports.
+            spike_counters = group_results[-1][1]
         return _result_from_cumulative(
             request,
             self.name,
@@ -540,7 +575,7 @@ class ChipBackend:
 def _evaluate_board_pass(
     model: TrueNorthModel,
     features: np.ndarray,
-    spf: int,
+    spf_levels: Tuple[int, ...],
     repeat_rng: np.random.Generator,
     network: CoreletNetwork,
     max_copies: int,
@@ -548,28 +583,30 @@ def _evaluate_board_pass(
     collect_counters: bool,
     router_delay: Optional[int],
     board_config: BoardConfig,
+    placement: BoardPlacement,
     segment_indices: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One (spf, repeat[, placement segment]) pass over a board.
+    """One (spf levels, repeat[, placement segment]) pass over a board.
 
     Module-level so :func:`repro.eval.runner.parallel_map` can pickle it
     into worker processes.  The per-repeat randomness discipline is exactly
-    :func:`_evaluate_chip_level`'s — clone the pristine repeat generator,
-    deploy ``max_copies`` copies, encode the spike volume, then (stochastic
-    mode) draw the per-copy LFSR seeds — so a 1x1 board with ideal links
-    reproduces the chip backend bit for bit, and every worker of a sharded
-    pass replays identical streams.
+    :func:`_evaluate_chip_levels`'s — clone the pristine repeat generator,
+    deploy ``max_copies`` copies, encode ``max(spf_levels)`` frames, then
+    (stochastic mode) draw the per-copy LFSR seeds — so a 1x1 board with
+    ideal links reproduces the chip backend bit for bit, and every worker
+    of a sharded pass replays identical streams.  Each level is read out
+    of the pass's snapshot at its prefix.
 
     ``segment_indices`` restricts programming (and hence simulation) to a
     subset of the deterministic placement's segments at their original
     board chip indices; the returned counts/counters are zero outside the
     segment's copies, so a fan-out over all segments merges by summation.
 
-    Returns ``(counts, counters)``: ``(max_copies, batch, classes)`` integer
-    readout counts and ``(max_copies, cores_per_copy, batch)`` spike
-    counters (or ``None``).
+    Returns ``(counts, counters)``: ``(len(spf_levels), max_copies, batch,
+    classes)`` integer readout counts and the whole pass's ``(max_copies,
+    cores_per_copy, batch)`` spike counters (or ``None``).
     """
-    encoder = StochasticEncoder(spikes_per_frame=spf)
+    encoder = StochasticEncoder(spikes_per_frame=max(spf_levels))
     neuron_config = stochastic_neuron_config(network) if stochastic else None
     level_rng = clone_rng(repeat_rng)
     deployment = deploy_with_copies(
@@ -580,7 +617,7 @@ def _evaluate_board_pass(
     copy_seeds: Optional[List[int]] = None
     if stochastic:
         # Same post-deploy/encode draw (and no-replacement rule) as the
-        # chip backend — see _evaluate_chip_level.
+        # chip backend — see _evaluate_chip_levels.
         copy_seeds = [
             int(seed)
             for seed in level_rng.choice(
@@ -592,10 +629,16 @@ def _evaluate_board_pass(
         board_config,
         neuron_config=neuron_config,
         router_delay=router_delay,
+        placement=placement,
         segment_indices=segment_indices,
     )
     counts = run_board_inference_multicopy(
-        board, deployment.copies, program, volume, copy_seeds=copy_seeds
+        board,
+        deployment.copies,
+        program,
+        volume,
+        copy_seeds=copy_seeds,
+        readout_prefixes=spf_levels,
     )
     counters = (
         board_spike_counters(board, deployment.copies, program)
@@ -618,9 +661,14 @@ class BoardBackend:
     (:class:`repro.board.board.Board`, exact latency model asserted).
 
     Unlike the chip backend, repeats are *not* folded into one image:
-    every ``(spf level, repeat)`` is one board pass (placement depends
-    only on the copy count, so all passes share one deterministic
-    placement).  On a 1x1 board with ideal links each pass is
+    every repeat is its own board pass (placement depends only on the copy
+    count, so all passes share one deterministic placement).  Spf levels
+    follow the chip backend's grouping: a deterministic request reads
+    every level out of one max-spf pass per repeat, but only while no
+    mesh link lengthens a path (:func:`~repro.mapping.pipeline.board_link_latency`
+    is zero, i.e. no copy is split across a link with ``link_delay > 0``).
+    Otherwise, and for stochastic synapses, every ``(spf level, repeat)``
+    is one pass.  On a 1x1 board with ideal links each pass is
     bit-identical to the single-chip engine, which transfers the chip
     backend's equivalence guarantees to the board (the property tests pin
     it).
@@ -668,7 +716,8 @@ class BoardBackend:
             description=(
                 "cycle-accurate multi-chip board mesh (copies spill across "
                 "chips, split copies hand off at chip edges, mesh link "
-                "delays, spike counters, stochastic synapses)"
+                "delays, one pass per repeat for every spf level unless "
+                "links lengthen a path, spike counters, stochastic synapses)"
             ),
             spf_grids=True,
             cycle_accurate=True,
@@ -704,15 +753,18 @@ class BoardBackend:
                 chip_config=board_config.chip_config,
                 link_delay=int(request.link_delay),
             )
+        # The placement is a pure function of (network, copies, board): the
+        # parent reads the spf grouping off it, and every pass (and worker)
+        # programs exactly it.
+        placement = place_on_board(network, request.max_copies, board_config)
+        groups = _spf_groups(
+            request,
+            shared_pass=board_link_latency(placement, board_config.link_delay) == 0,
+        )
         segment_lists: List[Optional[Tuple[int, ...]]]
         if self.workers is None:
             segment_lists = [None]
         else:
-            # The placement is a pure function of (network, copies, board),
-            # so the parent and every worker compute the same segments.
-            placement = place_on_board(
-                network, request.max_copies, board_config
-            )
             segment_lists = [
                 (index,) for index in range(len(placement.segments))
             ]
@@ -720,7 +772,7 @@ class BoardBackend:
             (
                 request.model,
                 evaluation.features,
-                spf,
+                levels,
                 repeat_rng,
                 network,
                 request.max_copies,
@@ -728,31 +780,32 @@ class BoardBackend:
                 request.collect_spike_counters,
                 request.router_delay,
                 board_config,
+                placement,
                 segments,
             )
-            for spf in request.spf_levels
+            for levels in groups
             for repeat_rng in repeat_rngs
             for segments in segment_lists
         ]
         shards = parallel_map(_evaluate_board_pass, tasks, self.workers)
-        # Regroup the flat (spf, repeat, segment) results; segments of one
+        # Regroup the flat (group, repeat, segment) results; segments of one
         # pass merge by summation (each is zero outside its own copies).
         per_pass = len(segment_lists)
         tensors: List[List[np.ndarray]] = [[] for _ in range(request.repeats)]
         counters_by_repeat: List[Optional[np.ndarray]] = [None] * request.repeats
-        for spf_index in range(len(request.spf_levels)):
+        for group_index in range(len(groups)):
             for repeat in range(request.repeats):
-                base = (spf_index * request.repeats + repeat) * per_pass
+                base = (group_index * request.repeats + repeat) * per_pass
                 counts = shards[base][0].copy()
                 counters = shards[base][1]
                 for offset in range(1, per_pass):
                     counts += shards[base + offset][0]
                     if counters is not None:
                         counters = counters + shards[base + offset][1]
-                tensors[repeat].append(counts)
+                tensors[repeat].extend(counts)
                 if request.collect_spike_counters:
-                    # spf_levels ascends; keep the largest level's counters,
-                    # matching the chip backend's convention.
+                    # Groups ascend; keep the last (largest-level) pass's
+                    # counters, matching the chip backend's convention.
                     counters_by_repeat[repeat] = counters
         cumulative = [
             np.stack(

@@ -233,7 +233,8 @@ class Session:
             sessions, processes, and restarts.
         cache_max_bytes: size bound for ``cache_dir`` (mtime-LRU eviction).
         workers: fan independent passes over N processes (vectorized:
-            per-repeat passes; chip: per-spf-level grid passes).
+            per-repeat passes; chip: the per-spf-level passes of
+            stochastic-synapse grids).
         result_memo: result-level memo consulted (and filled) by
             :meth:`flush` for deterministic requests on *every* backend;
             share one :class:`ResultMemo` across sessions to share served
@@ -523,10 +524,11 @@ class Session:
         """
         if request.seed is None:
             return None
-        # Every built-in backend now serves multi-spf grids (the chip runs
-        # one folded pass per level), so grid-capable backends group on the
-        # spf *maximum*: the chip's levels are mutually independent passes
-        # and the union's extra levels cannot perturb a member's slice.
+        # Every built-in backend serves multi-spf grids, so grid-capable
+        # backends group on the spf *maximum*: each chip level reads the
+        # same max-spf pass at its own prefix (or, stochastic, runs its own
+        # independent pass), so the union's extra levels cannot perturb a
+        # member's slice.
         # Keying on max_spf (not the union) also keeps spike counters
         # consistent — the chip reports them at the largest level, which is
         # then the same level for every member of the group.  A non-grid

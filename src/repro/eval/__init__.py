@@ -46,15 +46,18 @@ the requested copies of *all repeats* are programmed side by side
 (stacked per-core crossbar tensors, per-copy LFSR streams; each repeat
 block carries its own deployment and input volume through the chip's
 grouped-input form) and advance as one ``repeats x copies x batch``
-lock-step pass per spf level — so a full ``(copies, spf, repeats)`` grid
-costs ``len(spf_levels)`` chip passes, not
-``len(spf_levels) x repeats x copies`` programs.  Use it for any
-cycle-accurate request, including multi-spf grids and
-``stochastic_synapses`` sweeps; copy and repeat levels are exact integer
-cumsum prefixes of the one pass, bit-identical to the per-(spf, repeat)
-loop.  ``Session(workers=N)`` additionally fans the independent
-spf-level passes over worker processes (vectorized requests shard over
-repeats instead; both are bit-identical at any worker count — see
+lock-step pass.  A deterministic ``(copies, spf, repeats)`` grid costs
+**one** max-spf chip pass: every spf level is read out of a class-count
+snapshot of that pass at the level's input-tick prefix (exact, by the
+chip's fixed feed-forward latency; see :mod:`repro.mapping.pipeline`).
+A ``stochastic_synapses`` grid costs ``len(spf_levels)`` passes, since
+its per-copy LFSR seeds differ per level.  Use it for any cycle-accurate
+request, including multi-spf grids and ``stochastic_synapses`` sweeps;
+copy and repeat levels are exact integer cumsum prefixes of each pass,
+all bit-identical to the per-(spf, repeat) loop.  ``Session(workers=N)``
+fans the per-level passes that remain (stochastic-synapse grids only)
+over worker processes (vectorized requests shard over repeats instead;
+both are bit-identical at any worker count — see
 :func:`repro.eval.runner.parallel_map`).
 """
 

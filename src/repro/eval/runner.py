@@ -358,8 +358,9 @@ def parallel_map(
     :class:`SweepRunner` fans out *repeats* (each repeat is one independent
     deployment + vectorized pass; every (copies, spf) cell is a nested
     prefix of its repeat's tensor), while the chip backend — whose single
-    pass already folds all repeats into the stacked copy axis — fans out
-    *spf levels*, the only remaining per-pass axis.
+    pass already folds all repeats into the stacked copy axis and, for
+    deterministic requests, reads every spf level out of one pass — fans
+    out the per-*spf-level* passes of stochastic-synapse grids.
     """
     items = list(argument_tuples)
     if workers is not None and workers > 1 and len(items) > 1:

@@ -23,6 +23,7 @@ from repro.mapping.placement import (
 )
 from repro.mapping.pipeline import (
     BoardProgram,
+    board_link_latency,
     board_spike_counters,
     program_board_multicopy,
     program_chip_multicopy,
@@ -47,6 +48,7 @@ __all__ = [
     "BoardSegment",
     "place_on_board",
     "BoardProgram",
+    "board_link_latency",
     "board_spike_counters",
     "program_board_multicopy",
     "program_chip_multicopy",

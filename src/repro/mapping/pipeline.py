@@ -43,6 +43,24 @@ stops (the membrane potential is non-increasing from then on and a fired
 neuron restarts below threshold).  Configurations without a finite drain
 point — negative leak, or a reset at/above threshold — are rejected up
 front by the inference drivers.
+
+The same exact latency makes a pass readable at any input-tick prefix.
+The readout at step ``s`` (the ``s``-th tick of the pass, counting from
+one) holds output spikes of ticks ``< s``, and those depend only on input
+ticks ``< s - (depth - 1) * delay``: every input-to-readout path takes
+exactly ``(depth - 1) * delay`` ticks, and input arriving later cannot
+reach the output binding any sooner.  So the class counts at step
+``k + (depth - 1) * delay`` of a ``T``-tick pass equal the final counts of
+a separate pass over its first ``k`` input ticks.  That separate pass
+drains after input tick ``k``, and whatever its drain has not yet read
+out by that step is never read out at all: a quiet router means a
+quiescent network.  ``readout_prefixes`` asks the drivers for these
+snapshots, which is how the backends serve every spf level of a grid from
+one max-spf pass (``StochasticEncoder`` draws its frames spf-major, so the
+spf ``k`` spike train is the first ``k`` frames of a longer one).  A board
+qualifies only when no mesh link lengthens a path
+(:func:`board_link_latency` is zero); otherwise one path's early output
+would mix with another's late output in a single snapshot.
 """
 
 from __future__ import annotations
@@ -395,6 +413,7 @@ def run_chip_inference_multicopy(
     core_ids: List[List[int]],
     spike_volumes: np.ndarray,
     copy_seeds: Optional[Sequence[int]] = None,
+    readout_prefixes: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Run a sample batch through ``len(copies)`` copies in one chip pass.
 
@@ -421,10 +440,18 @@ def run_chip_inference_multicopy(
         copy_seeds: per-copy core-PRNG base seeds (stochastic mode): copy
             ``c``'s core ``k`` draws from ``LfsrPrng(copy_seeds[c] + k +
             1)``.  Defaults to seed 0 for every copy.
+        readout_prefixes: input-tick prefixes ``k`` (each in ``1..ticks``)
+            to read the class counts out at.  Prefix ``k``'s counts are the
+            snapshot at step ``k + (depth - 1) * delay`` and equal a
+            separate pass over the first ``k`` ticks (see the module
+            docstring).  The pass itself, its drain and its spike counters
+            are unchanged.
 
     Returns:
         per-copy, per-sample class counts of shape
-        ``(len(copies), batch, num_classes)``, dtype int64.
+        ``(len(copies), batch, num_classes)``, dtype int64; with
+        ``readout_prefixes``, one such tensor per prefix, stacked to
+        ``(len(readout_prefixes), len(copies), batch, num_classes)``.
     """
     if not copies:
         raise ValueError("at least one deployed copy is required")
@@ -453,8 +480,12 @@ def run_chip_inference_multicopy(
         )
     _validate_latency_model(chip, network)
     batch, ticks = spike_volumes.shape[-3], spike_volumes.shape[-2]
+    prefixes = _check_prefixes(readout_prefixes, ticks)
     if batch == 0:
-        return np.zeros((n_copies, 0, network.num_classes), dtype=np.int64)
+        empty = np.zeros(
+            (len(prefixes), n_copies, 0, network.num_classes), dtype=np.int64
+        )
+        return empty if readout_prefixes is not None else empty[0]
     total = n_copies * batch
     chip.begin_batch(
         total,
@@ -469,6 +500,9 @@ def run_chip_inference_multicopy(
     )
     flat_counts = class_counts.reshape(total, network.num_classes)
     indicators = _readout_indicators(network)
+    readout = _PrefixReadout(
+        class_counts, prefixes, (len(network.corelets) - 1) * chip.router.delay
+    )
 
     def accumulate(outputs) -> None:
         for binding_index, spikes in outputs.get(OUTPUT_CHANNEL, {}).items():
@@ -477,6 +511,7 @@ def run_chip_inference_multicopy(
                 spikes.astype(np.float32) @ indicators[binding_index],
                 out=flat_counts,
             )
+        readout.step()
 
     per_binding_volumes = _gather_input_volumes(network, spike_volumes)
     for t in range(ticks):
@@ -490,7 +525,54 @@ def run_chip_inference_multicopy(
         }
         accumulate(chip.step_batch({INPUT_CHANNEL: per_binding}))
     _drain_chip(chip, network, accumulate)
-    return class_counts.astype(np.int64)
+    counts = readout.counts()
+    return counts if readout_prefixes is not None else counts[0]
+
+
+def _check_prefixes(
+    readout_prefixes: Optional[Sequence[int]], ticks: int
+) -> Tuple[int, ...]:
+    """The validated readout prefixes; the whole run when none are given."""
+    if readout_prefixes is None:
+        return (ticks,)
+    prefixes = tuple(int(k) for k in readout_prefixes)
+    if not prefixes or any(k < 1 or k > ticks for k in prefixes):
+        raise ValueError(
+            f"readout prefixes must be non-empty and lie in 1..{ticks} (the "
+            f"input ticks of the pass), got {list(readout_prefixes)}"
+        )
+    return prefixes
+
+
+class _PrefixReadout:
+    """Snapshots of a pass's running class counts at each prefix's readout.
+
+    Prefix ``k`` is read out after step ``k + latency``, where ``latency``
+    is the exact input-to-readout latency of every path (see the module
+    docstring).  A pass whose drain ends before that step was already
+    quiescent, so its final counts are the prefix's counts.
+    """
+
+    def __init__(
+        self, counts: np.ndarray, prefixes: Sequence[int], latency: int
+    ) -> None:
+        self._counts = counts
+        #: (readout step, prefix index), latest first, popped as steps pass.
+        self._due = sorted(
+            ((k + latency, index) for index, k in enumerate(prefixes)),
+            reverse=True,
+        )
+        self._snapshots: List[np.ndarray] = [counts] * len(prefixes)
+        self._steps = 0
+
+    def step(self) -> None:
+        self._steps += 1
+        while self._due and self._due[-1][0] == self._steps:
+            self._snapshots[self._due.pop()[1]] = self._counts.copy()
+
+    def counts(self) -> np.ndarray:
+        """``(prefixes,) + counts.shape`` int64 snapshots (unread: final)."""
+        return np.stack(self._snapshots).astype(np.int64)
 
 
 def _gather_input_volumes(network, spike_volumes: np.ndarray) -> List[np.ndarray]:
@@ -833,33 +915,33 @@ def _wire_split_copy(board: Board, network, copy_index: int, program: BoardProgr
             program.shard_outputs.setdefault(chip_index, []).append(corelet_index)
 
 
-def _board_flush_bound(board: Board, program: BoardProgram, network) -> int:
-    """Exact worst-path drain bound of a programmed board.
+def board_link_latency(
+    placement: BoardPlacement,
+    link_delay: int,
+    copies: Optional[Sequence[int]] = None,
+) -> int:
+    """Worst mesh-link ticks on any input-to-readout path of a placement.
 
-    Per copy, a spike injected at the last input tick takes at most
-    ``sum over layer transitions of (router_delay + link_delay *
-    worst_chip_distance(transition))`` further ticks to reach the output
-    binding; whole copies contribute the single-chip bound
-    ``(depth - 1) * delay``.  The board drains until no router holds a
-    pending spike and asserts this bound, exactly like the single-chip
-    :func:`_drain_chip`.
+    A copy's spikes pay ``link_delay`` per chip hop of each layer
+    transition on top of the on-chip ``(depth - 1) * delay``, so the
+    board's exact drain bound is that on-chip latency plus this value.
+    Zero means every path has the on-chip latency: no copy is split across
+    a link with ``link_delay > 0``.
+
+    Args:
+        placement: the board placement.
+        link_delay: mesh link delay in ticks per chip hop.
+        copies: the copies to consider (default: every placed copy).
     """
-    delay = max(
-        (board.chips[i].router.delay for i in board.active_chips()),
-        default=1,
+    if copies is None:
+        copies = [c for segment in placement.segments for c in segment.copies]
+    return max(
+        (
+            link_delay * sum(placement.transition_chip_distances(copy))
+            for copy in copies
+        ),
+        default=0,
     )
-    link_delay = board.config.link_delay
-    depth = len(network.corelets)
-    bound = 0
-    for copy in program.programmed_copies():
-        distances = program.placement.transition_chip_distances(copy)
-        if len(distances) != depth - 1:
-            distances = [0] * (depth - 1)
-        bound = max(
-            bound,
-            sum(delay + link_delay * d for d in distances),
-        )
-    return bound
 
 
 def run_board_inference_multicopy(
@@ -868,6 +950,7 @@ def run_board_inference_multicopy(
     program: BoardProgram,
     spike_volumes: np.ndarray,
     copy_seeds: Optional[Sequence[int]] = None,
+    readout_prefixes: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Run a sample batch through ``len(copies)`` copies on a board.
 
@@ -893,12 +976,17 @@ def run_board_inference_multicopy(
             :func:`run_chip_inference_multicopy`; shard chips derive their
             chip-local seed from the shard offset so split copies replay
             the unsplit streams.
+        readout_prefixes: input-tick prefixes to read the class counts
+            out at, as in :func:`run_chip_inference_multicopy`.  A prefix
+            shorter than the run needs a zero :func:`board_link_latency`
+            over the programmed copies (``ValueError`` otherwise).
 
     Returns:
         per-copy, per-sample class counts ``(len(copies), batch,
-        num_classes)``, dtype int64.  When the program covers only some
-        segments (serve sharding), rows of copies outside the programmed
-        segments are zero.
+        num_classes)``, dtype int64 — or one such tensor per readout
+        prefix, stacked on a leading axis.  When the program covers only
+        some segments (serve sharding), rows of copies outside the
+        programmed segments are zero.
     """
     if not copies:
         raise ValueError("at least one deployed copy is required")
@@ -926,8 +1014,36 @@ def run_board_inference_multicopy(
             f"expected {n_copies} copy seeds, got {len(copy_seeds)}"
         )
     batch, ticks = spike_volumes.shape[-3], spike_volumes.shape[-2]
+    prefixes = _check_prefixes(readout_prefixes, ticks)
+    # Exact worst-path drain bound: a spike injected at the last input tick
+    # takes the single-chip (depth - 1) * delay plus the worst path's mesh
+    # link ticks to reach the output binding.  The board drains until no
+    # router holds a pending spike and asserts this bound, exactly like the
+    # single-chip _drain_chip.
+    delay = max(
+        (
+            board.chips[i].router.delay
+            for i in (*program.image_chips, *program.shard_chips)
+        ),
+        default=1,
+    )
+    on_chip_latency = (len(network.corelets) - 1) * delay
+    link_latency = board_link_latency(
+        program.placement, board.config.link_delay, program.programmed_copies()
+    )
+    flush_bound = on_chip_latency + link_latency
+    if link_latency and min(prefixes) < ticks:
+        raise ValueError(
+            f"prefix readout needs every input-to-readout path to take the "
+            f"on-chip latency, but mesh links add up to {link_latency} ticks "
+            "to some paths (a copy split across links with link_delay > 0); "
+            "run one pass per prefix instead"
+        )
     if batch == 0:
-        return np.zeros((n_copies, 0, network.num_classes), dtype=np.int64)
+        empty = np.zeros(
+            (len(prefixes), n_copies, 0, network.num_classes), dtype=np.int64
+        )
+        return empty if readout_prefixes is not None else empty[0]
 
     grouped = spike_volumes.ndim == 4
     groups = spike_volumes.shape[0] if grouped else 1
@@ -1012,6 +1128,9 @@ def run_board_inference_multicopy(
     )
     flat_counts = class_counts.reshape(n_copies * batch, network.num_classes)
     indicators = _readout_indicators(network)
+    # Only the full-run prefix is allowed when link_latency > 0, and the
+    # drain never passes its readout step ticks + flush_bound.
+    readout = _PrefixReadout(class_counts, prefixes, flush_bound)
     sinks: Dict[int, List[Tuple[int, np.ndarray, object]]] = {}
     for chip_index, (seg_copies, _) in program.image_chips.items():
         contiguous = tuple(seg_copies) == tuple(
@@ -1054,6 +1173,7 @@ def run_board_inference_multicopy(
                     np.add(view, contribution, out=view)
                 else:
                     flat_counts[rows] += contribution
+        readout.step()
 
     for t in range(ticks):
         inputs = {
@@ -1067,7 +1187,6 @@ def run_board_inference_multicopy(
         }
         accumulate(board.step_batch(inputs))
 
-    flush_bound = _board_flush_bound(board, program, network)
     extra = 0
     while board.has_pending():
         extra += 1
@@ -1078,7 +1197,8 @@ def run_board_inference_multicopy(
                 "topology, e.g. a cycle?)"
             )
         accumulate(board.step_batch(None))
-    return class_counts.astype(np.int64)
+    counts = readout.counts()
+    return counts if readout_prefixes is not None else counts[0]
 
 
 def board_spike_counters(

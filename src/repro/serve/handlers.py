@@ -40,6 +40,7 @@ from http.server import BaseHTTPRequestHandler
 from typing import TYPE_CHECKING, Dict, Optional, cast
 
 from repro.serve.admission import QueueFullError, ServiceClosedError
+from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:
     from repro.serve.front import FrontService
@@ -56,6 +57,15 @@ from repro.serve.codec import (
 #: Largest accepted request body; a bounded queue deserves a bounded parser.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds one socket read or write of a connection may block.  A client
+#: that stalls mid-request (or idles on a kept-alive connection) is dropped
+#: after this instead of holding a server thread forever; the wait for an
+#: admitted job's result is not a socket operation and is bounded by the
+#: service's own ``request_timeout``.
+READ_TIMEOUT_S = 30.0
+
+_LOG = get_logger(__name__)
+
 
 class _JsonHandler(BaseHTTPRequestHandler):
     """Shared JSON plumbing: body reading, typed payloads, HTTP accounting.
@@ -67,8 +77,19 @@ class _JsonHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.4"
 
+    def setup(self) -> None:
+        # Read at connection time (not class creation) so the constant
+        # stays patchable.  The stdlib handler answers a socket timeout by
+        # closing the connection, which ends this handler's thread.
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging (metrics cover it)."""
+
+    def log_error(self, format: str, *args: object) -> None:  # noqa: A002 - stdlib signature
+        """Connection faults (socket timeouts, malformed request lines)."""
+        _LOG.warning("%s: %s", self.address_string(), format % args)
 
     def _record_http(self, route: str, status: int) -> None:
         raise NotImplementedError

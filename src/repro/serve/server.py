@@ -69,6 +69,15 @@ from repro.serve.codec import (
 from repro.serve.controller import ControllerConfig
 from repro.serve.handlers import ServeHandler
 from repro.serve.journal import RequestJournal
+from repro.utils.logging import get_logger
+
+_LOG = get_logger(__name__)
+
+
+def _log_suppressed(where: str) -> None:
+    """Log the exception being handled at a site that survives it."""
+    _LOG.exception("%s failed; the replica keeps serving", where)
+
 
 #: Worker-pool implementations a service may run.
 WORKER_MODES = ("thread", "process")
@@ -287,7 +296,7 @@ def _picklable_error(error: BaseException) -> BaseException:
 
 def _process_worker_run(
     items: List[Tuple[object, ...]],
-) -> Tuple[List[Tuple[str, object]], int, Dict[str, object]]:
+) -> Tuple[List[Tuple[str, object]], int, Dict[str, object], int]:
     """Serve one claimed batch inside a worker child.
 
     ``items`` entries are ``("wire", payload)`` — a normalized wire dict
@@ -295,7 +304,8 @@ def _process_worker_run(
     backend)`` for in-process jobs that never had a wire form.  Returns
     per-item ``("ok", result)`` / ``("error", exception)`` outcomes in
     order, plus the child's pid and cumulative session stats so the parent
-    can aggregate ``/metrics`` without another round-trip.
+    can aggregate ``/metrics`` without another round-trip, and the number
+    of errors the child logged and survived while serving the batch.
     """
     session = _WORKER_SESSION
     registry = _WORKER_REGISTRY
@@ -311,10 +321,12 @@ def _process_worker_run(
                 handles.append(session.submit(item[1], backend=item[2]))
         except Exception as error:
             handles.append(_picklable_error(error))
+    suppressed = 0
     try:
         session.flush()
     except Exception:
-        pass
+        _log_suppressed("worker-process session flush")
+        suppressed += 1
     outcomes: List[Tuple[str, object]] = []
     for handle in handles:
         if isinstance(handle, BaseException):
@@ -324,7 +336,7 @@ def _process_worker_run(
             outcomes.append(("ok", handle.result()))
         except Exception as error:
             outcomes.append(("error", _picklable_error(error)))
-    return outcomes, os.getpid(), session.stats()
+    return outcomes, os.getpid(), session.stats(), suppressed
 
 
 class EvalService:
@@ -362,6 +374,9 @@ class EvalService:
         self._stats_lock = threading.Lock()
         self._http_counts: Dict[str, int] = {}  # guarded-by: _http_lock
         self._http_lock = threading.Lock()
+        #: errors logged and survived (a journal record that fails to warm,
+        #: a flush or memo fault, an unreadable session stat).
+        self._suppressed_errors = 0  # guarded-by: _stats_lock
         self._started = False
 
     # ------------------------------------------------------------------
@@ -412,6 +427,12 @@ class EvalService:
             thread.start()
         return self
 
+    def _record_suppressed(self, where: str) -> None:
+        """Log the exception being handled and count it under ``/metrics``."""
+        _log_suppressed(where)
+        with self._stats_lock:
+            self._suppressed_errors += 1
+
     def _make_session(self) -> Session:
         return Session(
             backend=self.config.backend,
@@ -441,18 +462,18 @@ class EvalService:
                 request = to_eval_request(wire, self.registry)
                 handles.append(session.submit(request, backend=wire.backend))
             except Exception:
-                continue
+                self._record_suppressed("journal warm: resolving a record")
         try:
             session.flush()
         except Exception:
-            pass
+            self._record_suppressed("journal warm: session flush")
         warmed = 0
         for handle in handles:
             try:
                 handle.result()
                 warmed += 1
             except Exception:
-                continue
+                self._record_suppressed("journal warm: evaluating a record")
         return warmed
 
     def close(self) -> None:
@@ -531,7 +552,7 @@ class EvalService:
             try:
                 session.flush()
             except Exception:
-                pass
+                self._record_suppressed("worker session flush")
             for job, handle in handles:
                 try:
                     job.resolve(handle.result())
@@ -566,6 +587,7 @@ class EvalService:
                         job.request, backend=job.backend
                     )
                 except Exception:
+                    self._record_suppressed("result memo lookup")
                     memoized = None
                 if memoized is not None:
                     job.resolve(memoized)
@@ -581,7 +603,7 @@ class EvalService:
                 for job in remaining
             ]
             try:
-                outcomes, pid, stats = executor.submit(
+                outcomes, pid, stats, suppressed = executor.submit(
                     _process_worker_run, items
                 ).result()
             except Exception as error:
@@ -591,6 +613,8 @@ class EvalService:
                 continue
             with self._stats_lock:
                 self._worker_stats[pid] = stats
+                # Logged by the child, which owns the traceback.
+                self._suppressed_errors += suppressed
             for job, outcome in zip(remaining, outcomes):
                 if outcome[0] == "ok":
                     result = outcome[1]
@@ -599,7 +623,7 @@ class EvalService:
                             job.request, result, backend=job.backend
                         )
                     except Exception:
-                        pass
+                        self._record_suppressed("result memo store")
                     job.resolve(result)
                     admission.job_done(job, ok=True)
                 else:
@@ -638,6 +662,9 @@ class EvalService:
         The ``requests`` block satisfies two conservation invariants the CI
         smoke asserts: ``received == admitted + rejected`` and
         ``admitted == completed + failed + in_flight``.
+        ``suppressed_errors`` counts the errors the replica logged and
+        survived (journal warm-up, session flushes, the result memo, an
+        unreadable session stat), worker children included.
         """
         session_totals = {
             "submitted": 0,
@@ -647,7 +674,12 @@ class EvalService:
         }
         caches: Dict[int, object] = {}
         for session in self._sessions:
-            snapshot = session.stats()
+            try:
+                snapshot = session.stats()
+            except Exception:
+                # One unreadable session must not take /metrics down with it.
+                self._record_suppressed("session stats")
+                continue
             for key in session_totals:
                 session_totals[key] += snapshot[key]
             for cache in session._cache_objects():
@@ -666,6 +698,8 @@ class EvalService:
             misses += int(snapshot.get("cache_misses", 0))
         with self._http_lock:
             http_counts = dict(sorted(self._http_counts.items()))
+        with self._stats_lock:
+            suppressed_errors = self._suppressed_errors
         journal_view: Optional[Dict[str, object]] = None
         if self.journal is not None:
             journal_view = self.journal.snapshot()
@@ -685,6 +719,7 @@ class EvalService:
             "journal": journal_view,
             "worker_mode": self.config.worker_mode,
             "http": http_counts,
+            "suppressed_errors": suppressed_errors,
         }
 
 

@@ -12,10 +12,16 @@ replaced, at ``atol=0``:
   router delivered/hop counters, and (stochastic mode) the final per-copy
   LFSR register states, over LIF neurons, router delays > 1, and a
   mid-run ``reset()``;
+* prefix readout — the class counts one pass snapshots at each input-tick
+  prefix vs one separate pass per prefix (and vs the scalar oracle), over
+  depth 1-3, router delay 1-3, LIF neurons, stochastic synapses and
+  grouped input; the snapshotting pass itself (spike counters, LFSR
+  registers, router counters) is unchanged;
 * backend level — ``ChipBackend`` multi-spf grids vs single-level
   requests and vs the scalar oracle (``tests/chip_oracle.py``) run on every
   (spf, repeat, copy, sample) alone, including ``workers=2`` process
-  fan-out over spf levels;
+  fan-out over spf levels, and the number of passes and deployments a
+  chip or board grid costs;
 * programming level — per-core-fit trimming gives heterogeneous corelets
   their own crossbar geometry in deterministic mode while stochastic
   images keep the network-uniform shape (the LFSR sample layout is a
@@ -25,20 +31,28 @@ replaced, at ``atol=0``:
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.api.backends as backends
 from repro.api import EvalRequest
-from repro.api.backends import ChipBackend
+from repro.api.backends import BoardBackend, ChipBackend
+from repro.board import BoardConfig
+from repro.experiments.runner import ExperimentContext
 from repro.mapping.pipeline import (
+    program_board_multicopy,
     program_chip_multicopy,
+    run_board_inference_multicopy,
     run_chip_inference_multicopy,
 )
-from repro.truenorth.config import NeuronConfig
+from repro.truenorth.config import ChipConfig, NeuronConfig
 
-from chip_oracle import simulate_request
+from chip_oracle import simulate, simulate_request
 from test_chip_batch_equivalence import random_deployed_network
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
 
@@ -263,6 +277,165 @@ def test_grouped_volume_guards():
 
 
 # ----------------------------------------------------------------------
+# prefix readout: one pass snapshotted at every prefix vs a pass per prefix
+# ----------------------------------------------------------------------
+def _run(copies, volumes, neuron_config, delay, seeds, prefixes=None):
+    """One fresh chip pass: (counts, spike counters, LFSR states, routed)."""
+    chip, core_ids = program_chip_multicopy(
+        copies, neuron_config=neuron_config, router_delay=delay
+    )
+    counts = run_chip_inference_multicopy(
+        chip, copies, core_ids, volumes, copy_seeds=seeds, readout_prefixes=prefixes
+    )
+    order = [cid for layer in core_ids for cid in layer]
+    spikes = np.stack([chip.core(k).multicopy_spike_counts for k in order], axis=1)
+    prngs = chip.core(order[0]).copy_prngs
+    states = None
+    if prngs is not None:
+        states = [
+            [chip.core(k).copy_prngs[c].state for k in order]
+            for c in range(len(copies))
+        ]
+    return counts, spikes, states, chip.router.delivered_count
+
+
+_MODES = {
+    "history-free": None,
+    "lif-leak0": NeuronConfig(threshold=2, leak=0, history_free=False),
+    "lif-leak1": NeuronConfig(threshold=1, leak=1, history_free=False),
+    "stochastic": _STOCHASTIC,
+}
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n_copies=st.sampled_from([1, 2, 4]),
+    grouped=st.booleans(),
+    depth=st.integers(min_value=1, max_value=3),
+    delay=st.integers(min_value=1, max_value=3),
+    mode=st.sampled_from(sorted(_MODES)),
+    ticks=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_prefix_readout_matches_per_prefix_passes(
+    n_copies, grouped, depth, delay, mode, ticks, data
+):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6), label="seed"))
+    copies = random_deployed_copies(
+        rng, n_copies, depth, fractional_probabilities=mode == "stochastic"
+    )
+    neuron_config = _MODES[mode]
+    seeds = (
+        [int(s) for s in rng.integers(1, 2**16, size=n_copies)]
+        if mode == "stochastic"
+        else None
+    )
+    input_dim = copies[0].corelet_network.input_dim
+    shape = (3, ticks, input_dim)
+    if grouped and n_copies > 1:
+        shape = (2,) + shape
+    volumes = (rng.random(shape) < 0.5).astype(np.int8)
+    prefixes = data.draw(
+        st.lists(st.integers(1, ticks), min_size=1, max_size=4), label="prefixes"
+    )
+    if data.draw(st.booleans(), label="full length"):
+        prefixes.append(ticks)
+
+    snapshots, spikes, states, routed = _run(
+        copies, volumes, neuron_config, delay, seeds, prefixes
+    )
+    assert snapshots.shape == (len(prefixes), n_copies, 3, 4)
+    assert snapshots.dtype == np.int64
+    for snapshot, k in zip(snapshots, prefixes):
+        alone = _run(copies, volumes[..., :k, :], neuron_config, delay, seeds)[0]
+        np.testing.assert_array_equal(snapshot, alone)
+    # Snapshots only read the pass: it runs, drains and counts as before.
+    plain_counts, plain_spikes, plain_states, plain_routed = _run(
+        copies, volumes, neuron_config, delay, seeds
+    )
+    np.testing.assert_array_equal(spikes, plain_spikes)
+    assert states == plain_states
+    assert routed == plain_routed
+    for snapshot, k in zip(snapshots, prefixes):
+        if k == ticks:
+            np.testing.assert_array_equal(snapshot, plain_counts)
+
+
+def test_prefix_readout_matches_the_scalar_oracle():
+    """Depth 3, delay 2, stochastic synapses: every snapshot vs the oracle."""
+    rng = np.random.default_rng(41)
+    copies = random_deployed_copies(rng, 2, 3, fractional_probabilities=True)
+    seeds = [517, 40321]
+    volumes = (rng.random((4, 5, copies[0].corelet_network.input_dim)) < 0.5).astype(
+        np.int8
+    )
+    prefixes = (1, 2, 4, 5)
+    snapshots = _run(copies, volumes, _STOCHASTIC, 2, seeds, prefixes)[0]
+    for snapshot, k in zip(snapshots, prefixes):
+        for index, copy in enumerate(copies):
+            run = simulate(
+                copy,
+                volumes[:, :k],
+                neuron_config=_STOCHASTIC,
+                router_delay=2,
+                core_seed=seeds[index],
+            )
+            np.testing.assert_array_equal(snapshot[index], run.class_counts)
+    assert snapshots[-1].sum() > 0
+
+
+def test_prefix_readout_guards():
+    rng = np.random.default_rng(3)
+    copies = random_deployed_copies(rng, 1, 2)
+    volumes = np.zeros((2, 3, copies[0].corelet_network.input_dim), dtype=np.int8)
+    chip, core_ids = program_chip_multicopy(copies)
+    for prefixes in ([], [0], [4]):
+        with pytest.raises(ValueError, match="readout prefixes"):
+            run_chip_inference_multicopy(
+                chip, copies, core_ids, volumes, readout_prefixes=prefixes
+            )
+    empty = run_chip_inference_multicopy(
+        chip, copies, core_ids, volumes[:0], readout_prefixes=[1, 3]
+    )
+    assert empty.shape == (2, 1, 0, 4)
+
+
+@pytest.mark.parametrize("link_delay", [0, 2])
+def test_board_prefix_readout(link_delay):
+    """A split board reads prefixes exactly unless links lengthen a path."""
+    rng = np.random.default_rng(13)
+    copies = random_deployed_copies(rng, 2, 2)
+    network = copies[0].corelet_network
+    volumes = (rng.random((3, 4, network.input_dim)) < 0.5).astype(np.int8)
+    config = BoardConfig(
+        grid_shape=(2, 2),
+        chip_config=ChipConfig(grid_shape=(1, (network.core_count + 1) // 2)),
+        link_delay=link_delay,
+    )
+
+    def board_run(vol, prefixes=None):
+        board, program = program_board_multicopy(copies, config)
+        assert program.placement.split_copies() == (0, 1)
+        return run_board_inference_multicopy(
+            board, copies, program, vol, readout_prefixes=prefixes
+        )
+
+    full = board_run(volumes, [4])
+    np.testing.assert_array_equal(full[0], board_run(volumes))
+    if link_delay:
+        with pytest.raises(ValueError, match="prefix readout"):
+            board_run(volumes, [2, 4])
+        return
+    snapshots = board_run(volumes, [1, 2, 4])
+    for snapshot, k in zip(snapshots, (1, 2, 4)):
+        np.testing.assert_array_equal(snapshot, board_run(volumes[:, :k]))
+
+
+# ----------------------------------------------------------------------
 # programming level: per-core-fit trimming
 # ----------------------------------------------------------------------
 def test_percore_fit_trims_heterogeneous_corelets():
@@ -397,3 +570,123 @@ def test_backend_grid_bit_identical_with_worker_fanout():
         ChipBackend(workers=None).evaluate(request),
         ChipBackend(workers=2).evaluate(request),
     )
+
+
+# ----------------------------------------------------------------------
+# backend level: passes and deployments per grid
+# ----------------------------------------------------------------------
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the backends' calls into the engines and the deployer."""
+    counts = Counter()
+    for name in (
+        "run_chip_inference_multicopy",
+        "run_board_inference_multicopy",
+        "deploy_with_copies",
+    ):
+        original = getattr(backends, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(backends, name, counted)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def multilayer():
+    """A trained two-layer model (test bench 5): routed spikes, drain ticks."""
+    context = ExperimentContext(
+        testbench=5,
+        train_size=120,
+        test_size=40,
+        epochs=1,
+        eval_samples=12,
+        repeats=1,
+        seed=0,
+    )
+    return context.result("tea").model, context.evaluation_dataset()
+
+
+def _multilayer_request(multilayer, **kwargs):
+    model, dataset = multilayer
+    kwargs.setdefault("copy_levels", (1, 2))
+    kwargs.setdefault("repeats", 2)
+    kwargs.setdefault("seed", 5)
+    kwargs.setdefault("collect_spike_counters", True)
+    return EvalRequest(model=model, dataset=dataset, **kwargs)
+
+
+def _assert_grid_matches_single_levels(backend, request):
+    grid = backend.evaluate(request)
+    for column, spf in enumerate(request.spf_levels):
+        single = backend.evaluate(request.with_levels(request.copy_levels, (spf,)))
+        np.testing.assert_array_equal(
+            grid.class_counts()[:, :, column], single.class_counts()[:, :, 0]
+        )
+    # spf_levels ascend: ``single`` is the largest level.
+    np.testing.assert_array_equal(grid.spike_counters, single.spike_counters)
+    return grid
+
+
+@pytest.mark.parametrize("router_delay", [None, 2])
+def test_deterministic_chip_grid_is_one_pass(calls, multilayer, router_delay):
+    request = _multilayer_request(
+        multilayer, spf_levels=(1, 2, 4, 8), router_delay=router_delay
+    )
+    ChipBackend().evaluate(request)
+    assert calls["run_chip_inference_multicopy"] == 1
+    assert calls["deploy_with_copies"] == request.repeats
+    _assert_grid_matches_single_levels(ChipBackend(), request)
+
+
+def test_stochastic_chip_grid_keeps_one_pass_per_level(calls, multilayer):
+    request = _multilayer_request(
+        multilayer, spf_levels=(1, 2, 4), stochastic_synapses=True
+    )
+    ChipBackend().evaluate(request)
+    assert calls["run_chip_inference_multicopy"] == len(request.spf_levels)
+    _assert_grid_matches_single_levels(ChipBackend(), request)
+
+
+@pytest.mark.parametrize(
+    "chip_cores, link_delay, shared",
+    [
+        # Whole copies: no spike crosses a link.
+        (None, 1, True),
+        # Half-copy chips over ideal links: every path keeps its latency.
+        ("half", 0, True),
+        # Layer 0 on one chip, layer 1 on the next: every path of the
+        # transition pays the same link tick, so the readout is the chip's,
+        # shifted; the board still keeps one pass per level.
+        ("layer", 1, False),
+        # Half-copy chips over a slow link: paths of one transition differ
+        # in latency, which changes the counts (layer-1 neurons integrate
+        # spikes of different input ticks together).
+        ("half", 1, False),
+    ],
+    ids=["unsplit-link1", "split-link0", "layer-split-link1", "split-link1"],
+)
+def test_board_grid_passes_and_bit_identity(
+    calls, multilayer, chip_cores, link_delay, shared
+):
+    architecture = multilayer[0].architecture
+    chip_config = {
+        None: None,
+        "half": ChipConfig(grid_shape=(1, (architecture.cores_per_network + 1) // 2)),
+        "layer": ChipConfig(grid_shape=(1, architecture.layers[0].core_count)),
+    }[chip_cores]
+    backend = BoardBackend(chip_config=chip_config)
+    request = _multilayer_request(
+        multilayer, spf_levels=(1, 2, 4), link_delay=link_delay
+    )
+    grid = backend.evaluate(request)
+    passes = 1 if shared else len(request.spf_levels)
+    assert calls["run_board_inference_multicopy"] == passes * request.repeats
+    _assert_grid_matches_single_levels(backend, request)
+    if chip_cores == "half" and link_delay:
+        return
+    chip = ChipBackend().evaluate(replace(request, link_delay=None))
+    np.testing.assert_array_equal(grid.class_counts(), chip.class_counts())
+    np.testing.assert_array_equal(grid.spike_counters, chip.spike_counters)

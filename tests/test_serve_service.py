@@ -10,13 +10,18 @@ invariants at all times.
 
 from __future__ import annotations
 
+import logging
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import EvalRequest, Session, UnsupportedRequestError
+from repro.api.session import SessionStats
 from repro.eval.runner import ScoreCache
+from repro.serve import handlers
 from repro.serve import (
     EvalServer,
     EvalService,
@@ -365,6 +370,88 @@ def test_request_timeout_answers_504(registry):
             client.evaluate(model="tea", seed=0)
         assert excinfo.value.status == 504
         assert excinfo.value.error_type == "timeout"
+
+
+def test_stalled_client_is_dropped_after_the_read_timeout(registry, monkeypatch):
+    """A client that stalls mid-body frees its handler thread."""
+    monkeypatch.setattr(handlers, "READ_TIMEOUT_S", 0.5)
+    config = ServeConfig(port=0, workers=1, queue_depth=8)
+    with EvalServer(registry, config) as server:
+        body = b'{"model": "tea", "seed": 1}'
+        head = (
+            "POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as raw:
+            raw.sendall(head + body[: len(body) // 2])
+            start = time.monotonic()
+            try:
+                closed = raw.recv(1) == b""
+            except ConnectionResetError:
+                closed = True
+            # Without a read timeout recv() blocks until this socket's own
+            # 10 s timeout and raises instead.
+            assert closed
+            assert time.monotonic() - start < 5.0
+        client = ServeClient(port=server.port, timeout=60.0)
+        assert client.health()["status"] == "ok"
+        served = client.evaluate(model="tea", copy_levels=[1], spf_levels=[1], seed=3)
+        assert served.backend == "vectorized"
+        metrics = client.metrics()
+        # The stalled body never reached admission.
+        assert metrics["requests"]["received"] == 1
+        assert_metrics_invariants(metrics)
+
+
+def test_failing_session_stats_are_logged_and_counted(registry, monkeypatch, caplog):
+    """/metrics survives a session whose stats() raises, and says so."""
+    config = ServeConfig(port=0, workers=1, queue_depth=8)
+    with EvalServer(registry, config) as server:
+        client = ServeClient(port=server.port, timeout=60.0)
+        assert client.metrics()["suppressed_errors"] == 0
+
+        def failing(self):
+            raise RuntimeError("injected stats failure")
+
+        monkeypatch.setattr(SessionStats, "__call__", failing)
+        with caplog.at_level(logging.ERROR, logger="repro.serve.server"):
+            metrics = client.metrics()
+        sessions = len(server.service._sessions)
+        assert metrics["suppressed_errors"] == sessions >= 1
+        assert metrics["sessions"]["submitted"] == 0
+        assert_metrics_invariants(metrics)
+        records = [
+            r for r in caplog.records if "session stats failed" in r.getMessage()
+        ]
+        assert len(records) == sessions
+        assert "injected stats failure" in str(records[0].exc_info[1])
+        assert client.health()["status"] == "ok"
+
+
+def test_failing_worker_flush_is_logged_and_counted(registry, monkeypatch, caplog):
+    """A flush that raises fails its jobs, is logged, and is counted."""
+    config = ServeConfig(port=0, workers=1, queue_depth=8)
+    with EvalServer(registry, config) as server:
+        client = ServeClient(port=server.port, timeout=60.0)
+
+        def failing(self):
+            raise RuntimeError("injected flush failure")
+
+        monkeypatch.setattr(Session, "flush", failing)
+        with caplog.at_level(logging.ERROR, logger="repro.serve.server"):
+            with pytest.raises(ServeError) as excinfo:
+                client.evaluate(model="tea", copy_levels=[1], spf_levels=[1], seed=8)
+        assert excinfo.value.status == 500
+        metrics = client.metrics()
+        assert metrics["suppressed_errors"] >= 1
+        assert metrics["requests"]["failed"] == 1
+        assert any(
+            "worker session flush failed" in r.getMessage() for r in caplog.records
+        )
+        monkeypatch.undo()
+        served = client.evaluate(model="tea", copy_levels=[1], spf_levels=[1], seed=8)
+        assert served.backend == "vectorized"
 
 
 # ----------------------------------------------------------------------
