@@ -18,8 +18,10 @@ service promises breaks:
 ``--soak`` switches to the durability harness instead: a sustained mixed
 burst (with client-side ``Retry-After`` back-off) driven through overload
 against an adaptive-admission server with a request journal, followed by a
-mid-run server restart that must warm from the journal and answer the
-repeated burst without a single fresh engine pass — all while the
+mid-run server restart that must warm from the journal — reading every
+result, chip ones included, from the result store's disk tier at zero
+engine passes — and answer the repeated burst without a single fresh
+engine pass — all while the
 ``/metrics`` conservation invariants hold and the observed p95 stays
 within the controller target.
 
@@ -56,7 +58,6 @@ import time
 import numpy as np
 
 from repro.api import EvalRequest, Session
-from repro.eval.runner import ScoreCache
 from repro.experiments.runner import ExperimentContext
 from repro.serve import (
     EvalServer,
@@ -209,7 +210,7 @@ def run_burst(server, registry, payloads, failures):
 
 def verify_bit_identical(responses, registry, payloads, failures, where):
     """Compare each served response against a direct Session.evaluate."""
-    direct_session = Session(cache=ScoreCache())
+    direct_session = Session()
     for index, payload in enumerate(payloads):
         served = responses.get(index)
         if isinstance(served, Exception):
@@ -379,7 +380,7 @@ def run_soak(registry, args, failures):
     }
     with tempfile.TemporaryDirectory(prefix="repro-serve-soak-") as workdir:
         journal_path = os.path.join(workdir, "journal.jsonl")
-        cache_dir = os.path.join(workdir, "score-cache")
+        cache_dir = os.path.join(workdir, "results")
 
         def make_config():
             return ServeConfig(
@@ -453,6 +454,11 @@ def run_soak(registry, args, failures):
                     "fingerprints"
                 )
             passes_before = boot["sessions"]["engine_passes"]
+            if passes_before != 0:
+                failures.append(
+                    f"restart: the boot warm-up cost {passes_before} engine "
+                    "passes (the disk tier must serve every journaled result)"
+                )
             memo_hits_before = boot["memo"]["hits"]
             replay_client = ServeClient(port=server.port, timeout=600.0)
             responses = {}
@@ -479,6 +485,7 @@ def run_soak(registry, args, failures):
             record["journal"] = after["journal"]
             record["memo"] = after["memo"]
             record["warmed_at_boot"] = warmed
+            record["boot_engine_passes"] = passes_before
             record["replay_engine_passes"] = fresh_passes
         finally:
             server.close()
@@ -519,11 +526,11 @@ def run_fleet_soak(registry, args, failures):
         "worker_mode": args.worker_mode,
     }
     with tempfile.TemporaryDirectory(prefix="repro-serve-fleet-") as workdir:
-        cache_dir = os.path.join(workdir, "score-cache")
+        cache_dir = os.path.join(workdir, "results")
 
         def make_config(index: int, port: int = 0) -> ServeConfig:
             # Per-replica journal (each replica owns its admissions), one
-            # shared on-disk score cache (its writes are atomic by design).
+            # shared result-store disk tier (its writes are atomic by design).
             return ServeConfig(
                 port=port,
                 workers=args.workers,
@@ -802,7 +809,7 @@ def main() -> None:
         "burst_seconds": burst_seconds,
         "coalesced_requests": coalesced,
         "requests": metrics["requests"],
-        "cache": metrics["cache"],
+        "memo": metrics["memo"],
         "ok": not failures,
         "failures": failures,
         "python": platform.python_version(),

@@ -11,8 +11,8 @@ The serve-style workload end to end, in one process:
    requests onto shared engine passes,
 3. score both models over HTTP with :class:`repro.serve.ServeClient`
    (responses are bit-identical to a direct ``Session.evaluate``),
-4. read ``/metrics`` (queue counters, latency percentiles, cache hit
-   rate) and demonstrate the explicit 429 + ``Retry-After`` overload
+4. read ``/metrics`` (queue counters, latency percentiles, result-store
+   hits) and demonstrate the explicit 429 + ``Retry-After`` overload
    path with a polite retry loop.
 
 Run with:  python examples/serving.py
@@ -84,7 +84,7 @@ def main() -> None:
                 f"[served by the {result.backend!r} backend]"
             )
 
-        print("\n== Same request again: served from the shared score cache ==")
+        print("\n== Same request again: served from the shared result store ==")
         start = time.perf_counter()
         evaluate_with_retry(
             client,
@@ -98,7 +98,7 @@ def main() -> None:
 
         print("\n== GET /metrics ==")
         metrics = client.metrics()
-        print(json.dumps({k: metrics[k] for k in ("requests", "cache")}, indent=2))
+        print(json.dumps({k: metrics[k] for k in ("requests", "memo")}, indent=2))
 
 
 if __name__ == "__main__":

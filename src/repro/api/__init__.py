@@ -12,16 +12,21 @@ One stable API in front of the repo's evaluation engines:
   with link delays for duplication levels past one chip's core budget),
   ``reference`` (the per-corelet ground-truth loop).
 * :class:`Session` — the serving facade: backend selection (explicit or
-  capability-based ``auto``), the persistent score caches, and request
-  batching that coalesces queued requests onto shared engine passes.
+  capability-based ``auto``) and request batching that coalesces queued
+  requests onto shared engine passes.
+* :class:`ResultMemo` — the one result store: finished results by
+  coalescing key, in memory and (with ``cache_dir``) on disk, shared by
+  every session it is given to.
 
 Quickstart::
 
-    from repro.api import EvalRequest, Session
+    from repro.api import EvalRequest, ResultMemo, Session
     from repro.experiments.runner import ExperimentContext
 
     context = ExperimentContext(train_size=400, epochs=3)
-    session = Session(backend="vectorized", cache_dir="/tmp/scores")
+    session = Session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir="/tmp/results")
+    )
     result = session.evaluate(
         EvalRequest(
             model=context.result("tea").model,
@@ -51,6 +56,7 @@ from repro.api.backends import (
     create_backend,
     register_backend,
 )
+from repro.api.memo import ResultMemo
 from repro.api.protocol import (
     KNOWN_ENCODERS,
     BackendCapabilities,
@@ -63,7 +69,6 @@ from repro.api.protocol import (
 from repro.api.session import (
     AUTO,
     PendingEvaluation,
-    ResultMemo,
     Session,
     SessionStats,
 )

@@ -5,8 +5,7 @@ Four backends wrap the repo's evaluation engines behind one
 
 * ``vectorized`` — :class:`repro.eval.runner.SweepRunner` over
   :class:`repro.eval.engine.VectorizedEvaluator`: the fast functional path
-  (folded firing gate, one GEMM per corelet per layer, streamed encoding)
-  with the in-memory and on-disk score caches.
+  (folded firing gate, one GEMM per corelet per layer, streamed encoding).
 * ``reference`` — the kept per-corelet equivalence loop
   (:func:`repro.eval.engine.evaluate_scores_reference`): slow by design,
   never cached, the ground truth the vectorized backend must match bit for
@@ -58,7 +57,7 @@ from repro.datasets.base import Dataset
 from repro.encoding.stochastic import StochasticEncoder
 from repro.eval.engine import class_counts as class_neuron_counts
 from repro.eval.engine import evaluate_scores_reference
-from repro.eval.runner import ScoreCache, SweepRunner, parallel_map
+from repro.eval.runner import SweepRunner, parallel_map
 from repro.mapping.corelet import CoreletNetwork, build_corelets
 from repro.mapping.duplication import DuplicatedDeployment, deploy_with_copies
 from repro.mapping.placement import BoardPlacement, place_on_board
@@ -204,81 +203,44 @@ class VectorizedBackend:
     """The fast functional path: ``SweepRunner`` + ``VectorizedEvaluator``.
 
     Args:
-        cache: in-memory score cache shared across requests; ``None`` uses
-            the process-global cache.
-        cache_dir: optional persistent on-disk score cache directory.
-        cache_max_bytes: optional size bound for ``cache_dir`` (mtime-LRU
-            eviction, see :class:`repro.eval.runner.DiskScoreCache`).
         workers: fan independent per-repeat passes over N processes.
     """
 
     name = "vectorized"
 
-    def __init__(
-        self,
-        cache: Optional[ScoreCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
-        workers: Optional[int] = None,
-    ):
-        self.cache = cache
-        self.cache_dir = cache_dir
-        self.cache_max_bytes = cache_max_bytes
+    def __init__(self, workers: Optional[int] = None):
         self.workers = workers
-        #: engine passes actually computed (cache-served requests excluded).
+        #: engine passes computed (one per ``evaluate``).
         self.passes = 0
-        #: one long-lived runner per grid config, so the disk cache (and its
-        #: hit/miss/eviction telemetry) persists across requests instead of
-        #: being rebuilt per call.
-        self._runners: Dict[Tuple, SweepRunner] = {}
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             name=self.name,
             description=(
-                "vectorized multi-copy engine (folded gate, streamed "
-                "encoding, score caches)"
+                "vectorized multi-copy engine (folded gate, streamed encoding)"
             ),
             spf_grids=True,
             cycle_accurate=False,
             cacheable=True,
         )
 
-    def _runner(self, request: EvalRequest) -> SweepRunner:
-        key = (request.copy_levels, request.spf_levels, request.repeats)
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = SweepRunner(
-                copy_levels=request.copy_levels,
-                spf_levels=request.spf_levels,
-                repeats=request.repeats,
-                cache=self.cache,
-                cache_dir=self.cache_dir,
-                cache_max_bytes=self.cache_max_bytes,
-            )
-            self._runners[key] = runner
-        return runner
-
     def evaluate(self, request: EvalRequest) -> EvalResult:
         _check_capabilities(request, self.capabilities())
         evaluation = request.evaluation_dataset()
-        runner = self._runner(request)
-        cache_hits_before = runner.cache.hits + (
-            runner.disk_cache.hits if runner.disk_cache is not None else 0
+        runner = SweepRunner(
+            copy_levels=request.copy_levels,
+            spf_levels=request.spf_levels,
+            repeats=request.repeats,
         )
         tensors = runner.cumulative_scores(
             request.model, evaluation, rng=request.seed, workers=self.workers
         )
-        cache_hits_after = runner.cache.hits + (
-            runner.disk_cache.hits if runner.disk_cache is not None else 0
-        )
-        if cache_hits_after == cache_hits_before:
-            self.passes += 1
+        self.passes += 1
         network = build_corelets(request.model)
         return _result_from_cumulative(
             request,
             self.name,
-            list(tensors),
+            tensors,
             evaluation,
             class_neuron_counts(network),
             request.model.architecture.cores_per_network,
@@ -512,7 +474,7 @@ class ChipBackend:
             ),
             spf_grids=True,
             cycle_accurate=True,
-            cacheable=False,
+            cacheable=True,
             multicopy_chips=True,
             stochastic_synapses=True,
             cores_per_chip=self.cores_per_chip,
@@ -721,7 +683,7 @@ class BoardBackend:
             ),
             spf_grids=True,
             cycle_accurate=True,
-            cacheable=False,
+            cacheable=True,
             multicopy_chips=True,
             stochastic_synapses=True,
             board_mesh=True,
@@ -857,8 +819,7 @@ def backend_names() -> Tuple[str, ...]:
 def create_backend(name: str, **config) -> object:
     """Instantiate a registered backend by name.
 
-    Keyword arguments are passed to the backend factory (e.g. ``cache_dir``
-    for the vectorized backend).
+    Keyword arguments are passed to the backend factory (e.g. ``workers``).
     """
     try:
         factory = _REGISTRY[name]

@@ -82,8 +82,9 @@ class BackendCapabilities:
             request (derived from one pass over the largest level).
         cycle_accurate: simulates the chip tick by tick — supports
             ``collect_spike_counters`` and ``router_delay`` requests.
-        cacheable: integer-seed results are deterministic cache keys the
-            session layer may serve from its score cache.
+        cacheable: integer-seed results are deterministic, so the
+            session's result store may serve and store them (``False``
+            means every request is recomputed).
         multicopy_chips: batches all requested copies through one
             multi-copy chip image instead of one chip (and one pass) per
             copy — same results, ~C x less tick-loop work, ~C x one chip's

@@ -1,7 +1,7 @@
-"""The serving facade: backend selection, caching, request coalescing.
+"""The serving facade: backend selection, the result store, coalescing.
 
 :class:`Session` is the one object experiment drivers, examples, and the
-future service front end talk to.  It owns
+service front end talk to.  It owns
 
 * **backend selection** — explicit (``Session(backend="chip")``) or by
   capability (``backend="auto"``: requests using a chip-only feature go to
@@ -9,16 +9,17 @@ future service front end talk to.  It owns
   A request the selected backend cannot serve raises
   :class:`~repro.api.protocol.UnsupportedRequestError` — never a silent
   fallback to a different backend.
-* **the score caches** — ``cache_dir`` (with optional ``cache_max_bytes``
-  LRU bounding) and the in-memory cache are threaded into the vectorized
-  backend, so a long-running session re-serves repeated configurations
-  from memory or disk instead of re-evaluating.
 * **request batching** — :meth:`submit` queues requests;
   :meth:`flush` groups queued requests that share one *coalescing key*
   (backend, model fingerprint, dataset fingerprint, seed, repeats,
   encoder, and the grid maxima) and serves each group with **one** engine
   pass over the union of the requested levels, slicing every request's
   sub-grid out of the shared cumulative tensors.
+* **the result store** — an optional :class:`~repro.api.memo.ResultMemo`
+  (``result_memo=``) that keeps whole results under the coalescing key, in
+  memory and optionally on disk.  A bare session stores nothing and
+  re-evaluates every request; sessions that want to share results share
+  one memo (the serving layer does).
 
 Coalescing never changes results: a request's scores are defined by the
 evaluation at its own ``(max(copy_levels), max(spf_levels))`` — every
@@ -26,36 +27,31 @@ smaller level is a nested prefix of that pass — so only requests with
 identical maxima share a pass, and the sliced results are bit-identical to
 evaluating each request alone (the property tests assert it).  Requests
 with ``seed=None`` ask for fresh entropy and are therefore never coalesced
-(each must be an independent random sample) and never cached.
+(each must be an independent random sample) and never stored.
 
-:class:`ResultMemo` extends the same determinism argument one level up:
-it memoizes whole :class:`EvalResult` objects under the coalescing key.
-Where the score caches only cover backends that declare ``cacheable``
-(the vectorized engine), the memo covers *every* backend — a repeated
-deterministic chip or board request is a memo hit even though the
-cycle-accurate runners never touch a score cache.  The serving layer
-shares one memo across its worker sessions (and, with process workers,
-consults it in the dispatching parent), which is what lets a
-journal-warmed server answer a repeated burst without recomputation.
+The result store extends the same determinism argument across flushes: a
+stored union result that covers a later request's levels answers it
+without an engine pass.  It serves only backends whose capabilities declare
+``cacheable`` (vectorized, chip and board) — the reference loop always
+recomputes, which is its whole point.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, cast
 
 import numpy as np
 
 from repro.api.backends import backend_names, create_backend
+from repro.api.memo import ResultMemo
 from repro.api.protocol import (
     BackendCapabilities,
     EvalRequest,
     EvalResult,
     EvaluationBackend,
 )
-from repro.eval.runner import ScoreCache, dataset_fingerprint, model_fingerprint
+from repro.eval.runner import dataset_fingerprint, model_fingerprint
 
 #: Sentinel for capability-based backend selection.
 AUTO = "auto"
@@ -97,126 +93,27 @@ class SessionStats:
     """Counters of what a session actually did.
 
     ``engine_passes`` counts evaluation passes the backends actually
-    computed — cache-served requests are excluded when the backend exposes
-    a ``passes`` counter.  ``coalesced_requests`` counts requests served by
-    slicing another request's engine pass instead of running their own.
+    computed — requests served from the result store are excluded.
+    ``coalesced_requests`` counts requests served by slicing another
+    request's engine pass instead of running their own.
 
     The instance doubles as the session's stats *hook*: calling it
-    (``session.stats()``) returns a plain-dict snapshot of the counters
-    plus the score-cache telemetry aggregated over the session's
-    instantiated backends — the shape the serving layer's ``/metrics``
-    endpoint publishes.
+    (``session.stats()``) returns a plain-dict snapshot of the counters —
+    the shape the serving layer's ``/metrics`` endpoint publishes.
     """
 
     submitted: int = 0
     flushes: int = 0
     engine_passes: int = 0
     coalesced_requests: int = 0
-    _session: Optional["Session"] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __call__(self) -> Dict[str, object]:
-        """Snapshot of the counters plus aggregated cache telemetry.
-
-        ``cache_hit_rate`` is ``None`` until at least one cacheable lookup
-        happened (no traffic is not a 0% hit rate).
-        """
-        snapshot: Dict[str, object] = {
+        """Plain-dict snapshot of the counters."""
+        return {
             "submitted": self.submitted,
             "flushes": self.flushes,
             "engine_passes": self.engine_passes,
             "coalesced_requests": self.coalesced_requests,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_hit_rate": None,
-        }
-        if self._session is not None:
-            hits, misses = self._session._cache_counts()
-            snapshot["cache_hits"] = hits
-            snapshot["cache_misses"] = misses
-            if hits + misses:
-                snapshot["cache_hit_rate"] = hits / (hits + misses)
-        return snapshot
-
-
-class ResultMemo:
-    """Thread-safe LRU memo of :class:`EvalResult` by coalescing key.
-
-    One entry per coalescing key, holding the *widest* union result seen
-    for that key.  A lookup hits when the memoized result's level grids
-    cover every level the request asks for — the slice served off it is
-    then bit-identical to a fresh evaluation, by the same nested-prefix
-    argument that makes coalescing exact (the key pins the grid maxima,
-    the seed, and every behavioural flag).
-
-    Requests with ``seed=None`` have no coalescing key and therefore can
-    never be memoized — fresh entropy stays fresh.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, EvalResult]" = (
-            OrderedDict()
-        )  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-
-    @staticmethod
-    def _covers(result: EvalResult, request: EvalRequest) -> bool:
-        return set(request.copy_levels) <= set(result.copy_levels) and set(
-            request.spf_levels
-        ) <= set(result.spf_levels)
-
-    def lookup(self, key: Tuple, request: EvalRequest) -> Optional[EvalResult]:
-        """The memoized result covering ``request``'s levels, or ``None``.
-
-        Returns the stored union result (covering at least the requested
-        levels) — the caller slices the request's sub-grid out of it with
-        :func:`_slice_result`.
-        """
-        with self._lock:
-            stored = self._entries.get(key)
-            if stored is not None and self._covers(stored, request):
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return stored
-            self.misses += 1
-            return None
-
-    def store(self, key: Tuple, result: EvalResult) -> None:
-        """Memoize ``result`` under ``key`` (keeping a wider stored one)."""
-        with self._lock:
-            stored = self._entries.get(key)
-            keep_stored = (
-                stored is not None
-                and set(result.copy_levels) <= set(stored.copy_levels)
-                and set(result.spf_levels) <= set(stored.spf_levels)
-            )
-            if not keep_stored:
-                self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def snapshot(self) -> Dict[str, object]:
-        """The ``/metrics`` view of the memo."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            entries = len(self._entries)
-        return {
-            "entries": entries,
-            "max_entries": self.max_entries,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / (hits + misses) if (hits + misses) else None,
         }
 
 
@@ -225,30 +122,23 @@ class Session:
 
     Args:
         backend: default backend name for :meth:`evaluate` / :meth:`submit`
-            (``"vectorized"``, ``"reference"``, ``"chip"``, or ``"auto"``
-            to select by request capability).
-        cache: in-memory score cache for the vectorized backend (``None``
-            shares the process-global cache).
-        cache_dir: persistent on-disk score cache directory shared across
-            sessions, processes, and restarts.
-        cache_max_bytes: size bound for ``cache_dir`` (mtime-LRU eviction).
+            (``"vectorized"``, ``"reference"``, ``"chip"``, ``"board"``, or
+            ``"auto"`` to select by request capability).
         workers: fan independent passes over N processes (vectorized:
             per-repeat passes; chip: the per-spf-level passes of
             stochastic-synapse grids).
-        result_memo: result-level memo consulted (and filled) by
-            :meth:`flush` for deterministic requests on *every* backend;
-            share one :class:`ResultMemo` across sessions to share served
-            results (the serving layer does).  ``None`` disables
-            result memoization (the default — a bare session re-evaluates
-            except where the score caches apply).
+        result_memo: result store consulted (and filled) by :meth:`flush`
+            for deterministic requests on every ``cacheable`` backend;
+            give it a ``cache_dir`` to persist results across processes and
+            restarts, and share one :class:`ResultMemo` across sessions to
+            share served results (the serving layer does).  ``None`` (the
+            default) stores nothing: a bare session re-evaluates every
+            request.
     """
 
     def __init__(
         self,
         backend: str = AUTO,
-        cache: Optional[ScoreCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
         workers: Optional[int] = None,
         result_memo: Optional[ResultMemo] = None,
     ):
@@ -258,42 +148,11 @@ class Session:
                 f"{backend_names()} (or 'auto')"
             )
         self.default_backend = backend
-        self.cache = cache
-        self.cache_dir = cache_dir
-        self.cache_max_bytes = cache_max_bytes
         self.workers = workers
         self.result_memo = result_memo
-        self.stats = SessionStats(_session=self)
+        self.stats = SessionStats()
         self._backends: Dict[str, object] = {}
         self._queue: List[PendingEvaluation] = []
-
-    def _cache_objects(self) -> List[object]:
-        """The distinct score-cache objects this session's backends use.
-
-        Runners may share one cache object (the session-level ``cache``),
-        so caches are deduplicated by identity — a shared cache's counters
-        must not be counted once per runner.  The serve layer unions these
-        lists across worker sessions for the same reason.
-
-        The backend/runner dicts are snapshotted (``list`` is atomic under
-        the GIL) because a metrics scrape may run while a worker thread is
-        lazily creating a backend or runner — iterating the live dict would
-        raise ``RuntimeError: dictionary changed size during iteration``.
-        """
-        caches: Dict[int, object] = {}
-        for backend in list(self._backends.values()):
-            for runner in list(getattr(backend, "_runners", {}).values()):
-                for cache in (runner.cache, getattr(runner, "disk_cache", None)):
-                    if cache is not None:
-                        caches[id(cache)] = cache
-        return list(caches.values())
-
-    def _cache_counts(self) -> Tuple[int, int]:
-        """Aggregate (hits, misses) over the distinct score caches in use."""
-        caches = self._cache_objects()
-        hits = sum(cache.hits for cache in caches)
-        misses = sum(cache.misses for cache in caches)
-        return hits, misses
 
     # ------------------------------------------------------------------
     # backends
@@ -301,15 +160,7 @@ class Session:
     def backend(self, name: str) -> EvaluationBackend:
         """The (lazily created, cached) backend instance for ``name``."""
         if name not in self._backends:
-            if name == "vectorized":
-                self._backends[name] = create_backend(
-                    name,
-                    cache=self.cache,
-                    cache_dir=self.cache_dir,
-                    cache_max_bytes=self.cache_max_bytes,
-                    workers=self.workers,
-                )
-            elif name in ("chip", "board"):
+            if name in ("vectorized", "chip", "board"):
                 self._backends[name] = create_backend(name, workers=self.workers)
             else:
                 self._backends[name] = create_backend(name)
@@ -421,9 +272,8 @@ class Session:
     def _count_engine_passes(self, backend, passes_before) -> None:
         """Add a backend's actually-computed passes to the session stats.
 
-        Backends exposing a ``passes`` counter (which excludes cache-served
-        requests) contribute their delta, so ``engine_passes`` reflects real
-        engine work; backends without one count one pass per evaluation.
+        Backends exposing a ``passes`` counter contribute their delta;
+        backends without one count one pass per evaluation.
         """
         if passes_before is None:
             self.stats.engine_passes += 1
@@ -433,18 +283,19 @@ class Session:
     def _serve_group(self, key: Tuple, members: List[PendingEvaluation]) -> None:
         """One engine pass over the union grid, sliced per member request.
 
-        With a :class:`ResultMemo` attached, a memoized union result that
+        With a result store for the backend, a stored union result that
         covers every member's levels serves the whole group without an
-        engine pass (and a freshly computed union result is memoized for
-        the next flush — on this session or any session sharing the memo).
+        engine pass (and a freshly computed union result is stored for the
+        next flush — on this session or any session sharing the store).
         """
         copy_union = tuple(
             sorted({c for m in members for c in m.request.copy_levels})
         )
         spf_union = tuple(sorted({s for m in members for s in m.request.spf_levels}))
         union_request = members[0].request.with_levels(copy_union, spf_union)
-        if self.result_memo is not None:
-            memoized = self.result_memo.lookup(key, union_request)
+        memo = self._memo_for(members[0].backend_name)
+        if memo is not None:
+            memoized = memo.lookup(key, union_request)
             if memoized is not None:
                 for member in members:
                     member._result = _slice_result(memoized, member.request)
@@ -459,32 +310,39 @@ class Session:
             return
         self._count_engine_passes(backend, passes_before)
         self.stats.coalesced_requests += len(members) - 1
-        if self.result_memo is not None:
-            self.result_memo.store(key, union_result)
+        if memo is not None:
+            memo.store(key, union_result)
         for member in members:
             member._result = _slice_result(union_result, member.request)
 
     # ------------------------------------------------------------------
-    # result memoization (see ResultMemo)
+    # the result store (see ResultMemo)
     # ------------------------------------------------------------------
+    def _memo_for(self, backend_name: str) -> Optional[ResultMemo]:
+        """The result store for ``backend_name``: ``None`` without one, or
+        when the backend's capabilities do not declare it ``cacheable``."""
+        if self.result_memo is None or not self.capabilities(backend_name).cacheable:
+            return None
+        return self.result_memo
+
     def cached_result(
         self, request: EvalRequest, backend: Optional[str] = None
     ) -> Optional[EvalResult]:
         """A memoized result for ``request``, without evaluating anything.
 
-        ``None`` when the session has no :class:`ResultMemo`, the request
-        is non-deterministic (``seed=None``), or the memo holds nothing
-        covering the request's levels.  The serving layer's process-worker
-        dispatcher uses this to answer repeated requests in the parent
-        without shipping them to a worker.
+        ``None`` when the session has no store for the backend (see
+        :meth:`_memo_for`), the request is non-deterministic
+        (``seed=None``), or the store holds nothing covering the request's
+        levels.  The serving layer's process-worker dispatcher uses this to
+        answer repeated requests in the parent without shipping them to a
+        worker.
         """
-        if self.result_memo is None:
-            return None
         name = backend if backend is not None else self.select_backend(request)
-        key = self._coalesce_key(name, request)
-        if key is None:
+        memo = self._memo_for(name)
+        key = self._coalesce_key(name, request) if memo is not None else None
+        if memo is None or key is None:
             return None
-        memoized = self.result_memo.lookup(key, request)
+        memoized = memo.lookup(key, request)
         if memoized is None:
             return None
         return _slice_result(memoized, request)
@@ -497,18 +355,17 @@ class Session:
     ) -> None:
         """Feed an externally computed result into the session's memo.
 
-        No-op for sessions without a memo or for ``seed=None`` requests.
-        The process-worker dispatcher calls this with results computed in
-        worker processes, so the parent-side memo warms exactly as a
-        threaded worker's flush would warm it.
+        No-op without a store for the backend or for ``seed=None``
+        requests.  The process-worker dispatcher calls this with results
+        computed in worker processes, so the parent-side store warms exactly
+        as a threaded worker's flush would warm it.
         """
-        if self.result_memo is None:
-            return
         name = backend if backend is not None else self.select_backend(request)
-        key = self._coalesce_key(name, request)
-        if key is None:
+        memo = self._memo_for(name)
+        key = self._coalesce_key(name, request) if memo is not None else None
+        if memo is None or key is None:
             return
-        self.result_memo.store(key, result)
+        memo.store(key, result)
 
     # ------------------------------------------------------------------
     def _coalesce_key(

@@ -17,7 +17,7 @@ All deployed evaluation runs on the vectorized multi-copy engine
 (:mod:`repro.eval.engine`): every copy's sampled weights are stacked into
 per-layer tensors and whole (copies x spf x batch) spike volumes propagate
 in a handful of matmuls.  :mod:`repro.eval.runner` layers the
-(copies, spf) grid sweep, streamed encoding, and a results cache on top.
+(copies, spf) grid sweep and streamed encoding on top.
 Deployed class scores follow the float model's merge convention (per-class
 means, ``1/n_k`` weighting) — see :mod:`repro.eval.engine` for the full
 scoring and firing-rule conventions.
@@ -36,10 +36,10 @@ for cycle-accurate sweeps whose copy budget overflows one chip (copies
 spread over a chip mesh, splitting oversized copies, with inter-chip
 ``link_delay`` folded into the exact latency model — auto-selected when a
 request sets ``link_delay`` or exceeds the chip core budget),
-``reference`` for ground truth, and the session's caches
-(:class:`~repro.eval.runner.ScoreCache` in memory,
-:class:`~repro.eval.runner.DiskScoreCache` on disk) for repeated
-evaluations of the same configuration.
+``reference`` for ground truth, and the session's result store
+(:class:`repro.api.ResultMemo`, in memory with an optional disk tier) for
+repeated evaluations of the same configuration on any backend but
+``reference``.
 
 The chip backend runs **repeat-folded multi-copy chip images**:
 the requested copies of *all repeats* are programmed side by side
@@ -68,9 +68,6 @@ from repro.eval.engine import (
     forward_spikes_reference,
 )
 from repro.eval.runner import (
-    GLOBAL_SCORE_CACHE,
-    DiskScoreCache,
-    ScoreCache,
     SweepRunner,
     dataset_fingerprint,
     model_fingerprint,
@@ -93,9 +90,6 @@ __all__ = [
     "evaluate_scores_reference",
     "forward_spikes_reference",
     "SweepRunner",
-    "ScoreCache",
-    "DiskScoreCache",
-    "GLOBAL_SCORE_CACHE",
     "model_fingerprint",
     "dataset_fingerprint",
     "SweepResult",

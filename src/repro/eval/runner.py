@@ -12,33 +12,20 @@ the pieces together on top of :class:`repro.eval.engine.VectorizedEvaluator`:
 * every smaller grid point is derived from cumulative sums of the score
   tensor (the scores of a 16-copy, 4-spf deployment contain those of every
   nested configuration — just sum fewer copies / fewer frames);
-* repeated evaluations of the same (model, grid, seed) are served from a
-  results cache keyed by ``(model fingerprint, copies, spf, seed)``, which
-  the experiment drivers share when they re-sweep the same trained model
-  (e.g. Figure 7 feeding Figure 8, or Figure 9(a) probing several spf levels
-  of the same Table 2 procedure);
-* with ``cache_dir`` set, score tensors additionally persist to disk as
-  ``.npz`` entries (:class:`DiskScoreCache`), written with an atomic rename
-  so concurrent sweep processes can share one cache directory — a serve-style
-  workload restarting its workers re-reads instead of re-evaluating;
 * with ``workers=N``, :meth:`SweepRunner.run` fans the independent
   per-repeat deployment+evaluation passes over a ``ProcessPoolExecutor``.
   The child generators are spawned in the parent exactly as the serial path
-  spawns them, so parallel results are bit-identical to serial ones and land
-  in the same (memory + disk) cache.
+  spawns them, so parallel results are bit-identical to serial ones.
 
-Caching only engages for integer seeds — a caller-supplied generator has
-hidden state, so results evaluated from one are never reused.
+The runner keeps no results: reusing a finished evaluation is the job of
+the session-level result store (:class:`repro.api.ResultMemo`), keyed on
+the content fingerprints defined here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
-import threading
 import weakref
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,7 +54,7 @@ def _memoized_fingerprint(obj, compute: Callable[[], str], hashed_arrays) -> str
     The memo is only sound if the hashed content does not change under it,
     so the arrays that went into the hash are frozen (``writeable = False``)
     as a best-effort guard: a direct in-place mutation afterwards raises
-    instead of silently serving cached scores for the pre-mutation object.
+    instead of silently serving stored results of the pre-mutation object.
     Objects holding view arrays are never memoized (their base buffer stays
     writable; the hash is recomputed per call, the pre-memo behaviour).
     The guard is not airtight — writing through a view taken *before* the
@@ -98,7 +85,7 @@ def model_fingerprint(model: TrueNorthModel) -> str:
     """Stable content hash of a trained model (architecture + weights).
 
     Memoized per model instance so repeated sweeps of the same trained model
-    (the cache-hit path of serve-style workloads) do not re-hash the full
+    (the result-store path of serve-style workloads) do not re-hash the full
     weight tensors on every request.  Side effect: the hashed weight arrays
     are frozen (``writeable = False``) to keep the memo sound — treat a
     model as immutable once it has been evaluated.
@@ -142,201 +129,6 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     return _memoized_fingerprint(
         dataset, compute, (dataset.features, dataset.labels)
     )
-
-
-class ScoreCache:
-    """In-memory cache of evaluated score tensors.
-
-    Keys are ``(model fingerprint, max copies, max spf, seed, repeats,
-    dataset fingerprint)`` — everything that determines the evaluated score
-    grid.
-    Values are the per-repeat cumulative score tensors, from which any nested
-    (copies, spf) sub-grid can be read off without re-deploying anything.
-
-    Safe to share across threads (the serve worker pool shares one cache):
-    the eviction read-modify-write in :meth:`put` and the hit/miss counters
-    are guarded by a lock.
-    """
-
-    def __init__(self, max_entries: int = 16):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: Dict[Tuple, List[np.ndarray]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple) -> Optional[List[np.ndarray]]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return entry
-
-    def put(self, key: Tuple, value: List[np.ndarray]) -> None:
-        # Cached tensors are handed out by reference; freeze them so a caller
-        # mutating a returned array cannot silently poison later sweeps.
-        for array in value:
-            array.flags.writeable = False
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self.max_entries:
-                # Drop the oldest entry (insertion order) to bound memory.
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-            self._entries[key] = value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Default cache shared by every :class:`SweepRunner` that is not given one.
-GLOBAL_SCORE_CACHE = ScoreCache(max_entries=16)
-
-
-class DiskScoreCache:
-    """Persistent on-disk score cache, safe to share across processes.
-
-    Each entry is one ``.npz`` file holding the per-repeat cumulative score
-    tensors of a fully-keyed evaluation.  The filename is the SHA-256 of the
-    cache key — ``(model fingerprint, max copies, max spf, seed, repeats,
-    dataset fingerprint)``, the same tuple :class:`ScoreCache` uses — so two
-    processes sweeping the same configuration resolve to the same file.
-    Writes go to a temporary file in the cache directory followed by an
-    atomic ``os.replace``: a concurrent reader sees either nothing or a
-    complete entry, never a torn one, and the last concurrent writer of
-    identical content simply wins.
-
-    With ``max_bytes`` set the cache is size-bounded: every write (and any
-    explicit :meth:`prune` call) evicts least-recently-used entries —
-    oldest mtime first; reads touch the mtime so hot entries survive —
-    until the directory's ``scores-*.npz`` total is back under the bound.
-    The newest entry is never evicted, so one oversized tensor degrades the
-    cache to a single entry instead of thrashing it to zero.
-    """
-
-    def __init__(self, cache_dir: str, max_bytes: Optional[int] = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.cache_dir = str(cache_dir)
-        self.max_bytes = max_bytes
-        os.makedirs(self.cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _path(self, key: Tuple) -> str:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return os.path.join(self.cache_dir, f"scores-{digest}.npz")
-
-    def contains(self, key: Tuple) -> bool:
-        """Whether an entry for ``key`` is on disk (no content validation)."""
-        return os.path.exists(self._path(key))
-
-    def get(self, key: Tuple) -> Optional[List[np.ndarray]]:
-        path = self._path(key)
-        try:
-            with np.load(path) as entry:
-                count = int(entry["repeat_count"])
-                tensors = [entry[f"repeat_{i}"] for i in range(count)]
-        except (
-            FileNotFoundError,
-            KeyError,
-            ValueError,
-            OSError,
-            EOFError,
-            zipfile.BadZipFile,
-        ):
-            # A torn or corrupt entry (e.g. a crash between write and
-            # fsync) is a miss: the caller recomputes and overwrites it.
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            # Touch the entry so mtime-LRU eviction treats it as recent.
-            os.utime(path)
-        except OSError:
-            pass
-        return tensors
-
-    def put(self, key: Tuple, value: List[np.ndarray]) -> None:
-        path = self._path(key)
-        arrays = {f"repeat_{i}": tensor for i, tensor in enumerate(value)}
-        arrays["repeat_count"] = np.asarray(len(value))
-        handle, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=".tmp-scores-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.savez_compressed(stream, **arrays)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        if self.max_bytes is not None:
-            self.prune()
-
-    def prune(self, max_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-used entries until the cache fits the bound.
-
-        Args:
-            max_bytes: size bound to enforce; defaults to the instance's
-                ``max_bytes`` (a no-op when neither is set).
-
-        Returns:
-            number of bytes freed.  Entries are removed oldest-mtime first
-            (reads refresh mtime, so this is LRU); the most recent entry is
-            always kept.  Races with concurrent writers/readers are benign:
-            a vanished file is skipped, and an evicted entry is simply a
-            future cache miss.
-        """
-        limit = self.max_bytes if max_bytes is None else max_bytes
-        if limit is None:
-            return 0
-        entries = []
-        for name in os.listdir(self.cache_dir):
-            if not (name.startswith("scores-") and name.endswith(".npz")):
-                continue
-            path = os.path.join(self.cache_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()  # oldest mtime first
-        total = sum(size for _, size, _ in entries)
-        freed = 0
-        for _, size, path in entries[:-1]:  # never evict the newest entry
-            if total <= limit:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            freed += size
-            self.evictions += 1
-        return freed
-
-    def __len__(self) -> int:
-        return len(
-            [
-                name
-                for name in os.listdir(self.cache_dir)
-                if name.startswith("scores-") and name.endswith(".npz")
-            ]
-        )
 
 
 def parallel_map(
@@ -408,14 +200,6 @@ class SweepRunner:
         max_samples: optional cap on evaluated samples.
         chunk_frames: spike frames encoded per streaming chunk (``None`` =
             automatic).
-        cache: results cache; ``None`` uses the module-level
-            :data:`GLOBAL_SCORE_CACHE`.
-        cache_dir: optional directory for a persistent
-            :class:`DiskScoreCache` shared across processes and runs;
-            ``None`` (default) keeps caching in-memory only.
-        cache_max_bytes: optional size bound for ``cache_dir``; writes
-            evict least-recently-used entries past it so long-lived cache
-            directories stop growing unboundedly.
     """
 
     copy_levels: Sequence[int] = (1, 2, 4, 8, 16)
@@ -423,9 +207,6 @@ class SweepRunner:
     repeats: int = 3
     max_samples: Optional[int] = None
     chunk_frames: Optional[int] = None
-    cache: Optional[ScoreCache] = None
-    cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
 
     def __post_init__(self):
         self.copy_levels = tuple(sorted(set(int(c) for c in self.copy_levels)))
@@ -436,38 +217,12 @@ class SweepRunner:
             raise ValueError("spf_levels must be positive integers")
         if self.repeats <= 0:
             raise ValueError(f"repeats must be positive, got {self.repeats}")
-        if self.cache is None:
-            self.cache = GLOBAL_SCORE_CACHE
-        self.disk_cache: Optional[DiskScoreCache] = (
-            DiskScoreCache(self.cache_dir, max_bytes=self.cache_max_bytes)
-            if self.cache_dir is not None
-            else None
-        )
-        self._take_memo: Optional[Tuple["weakref.ref", int, Dataset]] = None
 
     def _evaluation_view(self, dataset: Dataset) -> Dataset:
-        """The (possibly capped) evaluation dataset, memoized per source.
-
-        ``dataset.take`` builds a fresh object per call, which would defeat
-        the per-instance fingerprint memo on every request of a serve-style
-        workload; reusing the taken view keeps the cache-hit path hash-free.
-        The memo is keyed on (source identity, ``max_samples``) so changing
-        the cap on a live runner takes effect.
-        """
+        """The (possibly capped) evaluation dataset."""
         if self.max_samples is None:
             return dataset
-        if (
-            self._take_memo is not None
-            and self._take_memo[0]() is dataset
-            and self._take_memo[1] == self.max_samples
-        ):
-            return self._take_memo[2]
-        taken = dataset.take(self.max_samples)
-        try:
-            self._take_memo = (weakref.ref(dataset), self.max_samples, taken)
-        except TypeError:
-            self._take_memo = None
-        return taken
+        return dataset.take(self.max_samples)
 
     # ------------------------------------------------------------------
     def cumulative_scores(
@@ -483,9 +238,7 @@ class SweepRunner:
         Each returned array has shape ``(max_copies, max_spf, batch,
         num_classes)`` and holds ``cumsum`` over the copy and frame axes, so
         ``tensor[c - 1, s - 1]`` is the accumulated score of a (c, s)
-        deployment.  Served from the in-memory cache — and, when
-        ``cache_dir`` is set, from the persistent disk cache — when the same
-        (model, grid, seed) was evaluated before.
+        deployment.
 
         With ``workers=N`` the independent per-repeat passes (each one full
         deployment + evaluation; every (copies, spf) grid cell is a nested
@@ -495,46 +248,16 @@ class SweepRunner:
         results are bit-identical to ``workers=None``.
         """
         evaluation = self._evaluation_view(dataset)
-        max_copies = self.copy_levels[-1]
-        max_spf = self.spf_levels[-1]
-        key = None
-        # Only an explicit integer seed is cacheable: rng=None means fresh
-        # entropy (each call must be an independent random sample) and a
-        # caller-supplied generator has hidden state.
-        if isinstance(rng, int) and not isinstance(rng, bool):
-            key = (
-                model_fingerprint(model),
-                max_copies,
-                max_spf,
-                rng,
-                self.repeats,
-                dataset_fingerprint(evaluation),
-            )
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                # Backfill the disk cache: the memory entry may predate this
-                # runner's cache_dir (e.g. the shared GLOBAL_SCORE_CACHE was
-                # populated by a runner without one), and persistence is the
-                # whole point of configuring a cache directory.
-                if self.disk_cache is not None and not self.disk_cache.contains(key):
-                    self.disk_cache.put(key, list(cached))
-                return cached
-            if self.disk_cache is not None:
-                persisted = self.disk_cache.get(key)
-                if persisted is not None:
-                    self.cache.put(key, persisted)
-                    return persisted
         network = corelet_network or build_corelets(model)
         repeat_rngs = spawn_rngs(new_rng(rng), self.repeats)
-        tensors = parallel_map(
+        return parallel_map(
             _evaluate_repeat,
             [
                 (
                     model,
                     evaluation.features,
-                    max_copies,
-                    max_spf,
+                    self.copy_levels[-1],
+                    self.spf_levels[-1],
                     self.chunk_frames,
                     repeat_rng,
                     network,
@@ -543,11 +266,6 @@ class SweepRunner:
             ],
             workers,
         )
-        if key is not None:
-            if self.disk_cache is not None:
-                self.disk_cache.put(key, tensors)
-            self.cache.put(key, tensors)
-        return tensors
 
     def run(
         self,
@@ -562,7 +280,7 @@ class SweepRunner:
 
         ``workers=N`` distributes the per-repeat evaluation passes over N
         processes (see :meth:`cumulative_scores`); results are bit-identical
-        to the serial path and merge into the same caches.
+        to the serial path.
         """
         from repro.eval.sweep import SweepResult
 
@@ -583,8 +301,6 @@ class SweepRunner:
                     accuracy_samples[repeat_index, i, j] = accuracy_score(
                         labels, predictions
                     )
-        # cores_per_network comes from the architecture directly, so a
-        # cache-served run never rebuilds the corelets.
         cores_per_copy = model.architecture.cores_per_network
         cores = np.array([c * cores_per_copy for c in self.copy_levels])
         return SweepResult(

@@ -9,9 +9,9 @@ vectorized engine (:mod:`repro.eval.engine`), via
 cumulative sums, exactly reproducing what an independent evaluation of each
 point would measure for nested subsets of copies and frames.
 
-:func:`accuracy_sweep` is the stable functional entry point; construct a
-:class:`~repro.eval.runner.SweepRunner` directly to share its score cache
-across several sweeps of the same model.
+:func:`accuracy_sweep` is the stable functional entry point; evaluate
+through :class:`repro.api.Session` with a shared
+:class:`~repro.api.ResultMemo` to reuse finished sweeps of the same model.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.model import TrueNorthModel
 from repro.datasets.base import Dataset
-from repro.eval.runner import ScoreCache, SweepRunner
+from repro.eval.runner import SweepRunner
 from repro.utils.rng import RngLike
 
 
@@ -81,7 +81,6 @@ def accuracy_sweep(
     rng: RngLike = None,
     max_samples: Optional[int] = None,
     label: str = "",
-    cache: Optional[ScoreCache] = None,
 ) -> SweepResult:
     """Measure deployed accuracy across a grid of duplication levels.
 
@@ -96,8 +95,6 @@ def accuracy_sweep(
         rng: root randomness.
         max_samples: optional cap on evaluated samples.
         label: name recorded in the result.
-        cache: optional score cache shared with other sweeps of the same
-            model (``None`` uses the global cache).
 
     Returns:
         a :class:`SweepResult` covering the full grid.
@@ -107,7 +104,6 @@ def accuracy_sweep(
         spf_levels=spf_levels,
         repeats=repeats,
         max_samples=max_samples,
-        cache=cache,
     )
     return runner.run(model, dataset, rng=rng, label=label)
 

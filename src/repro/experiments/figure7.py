@@ -11,9 +11,10 @@ All scoring goes through :class:`repro.api.Session`: the two sweeps are
 *submitted* and flushed together so requests sharing a model fingerprint
 coalesce onto one engine pass, and the backend is a one-line config —
 ``backend="vectorized"`` (default), ``"reference"``, or a pre-configured
-session with a persistent ``cache_dir``.  Figure 8 (which differences the
-two surfaces) and repeated invocations reuse the session's score caches
-instead of re-deploying anything.
+session.  Figure 8 differences the two surfaces of a Figure 7 report; a
+repeated invocation is served without an engine pass only when the caller
+passes a session holding a :class:`repro.api.ResultMemo` (give it a
+``cache_dir`` to keep the results across processes).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def run_figure7(
         context: shared trained-model context.
         copy_levels / spf_levels: grid to sweep.
         session: optional pre-configured :class:`repro.api.Session` (lets
-            callers share its caches across figures); created from
+            callers share its result store across figures); created from
             ``backend`` when omitted.
         backend: evaluation backend to score on when no session is given.
 

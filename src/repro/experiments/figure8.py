@@ -30,9 +30,10 @@ def run_figure8(
 
     Reuses a Figure 7 report when provided (the two figures share their
     sweeps); otherwise runs the sweeps itself through
-    :class:`repro.api.Session` — when neither a report nor a session is
-    given, the vectorized backend's score cache still deduplicates against
-    any earlier Figure 7 run with the same seed.
+    :class:`repro.api.Session`.  Without a report, the sweeps are only
+    served from earlier results when ``session`` holds a
+    :class:`repro.api.ResultMemo` that saw them; a fresh session
+    re-evaluates.
     """
     context = context or ExperimentContext()
     report = figure7_report or run_figure7(

@@ -13,7 +13,7 @@ front of the :mod:`repro.api` serving facade.
   adaptive admission toward a p95 target
   (:mod:`repro.serve.controller`), process workers around the GIL
   (``worker_mode="process"``), and a durable request journal with
-  boot-time cache warming (:mod:`repro.serve.journal`).
+  boot-time result-store warming (:mod:`repro.serve.journal`).
 * :class:`FrontServer` / :class:`FrontService` / :class:`FrontConfig` —
   the fleet router (:mod:`repro.serve.front`): consistent model→replica
   routing over a rendezvous ring (:mod:`repro.serve.ring`), fleet-wide

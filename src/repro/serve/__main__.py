@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "append-only request journal; a restarted server replays it "
-            "to warm the caches"
+            "to warm the result store"
         ),
     )
     service.add_argument(
@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds before a waiting HTTP request answers 504",
     )
     service.add_argument(
-        "--cache-dir", default=None, help="persistent score-cache directory"
+        "--cache-dir",
+        default=None,
+        help="disk tier of the result store, every backend",
     )
     service.add_argument(
         "--cache-max-bytes",

@@ -14,7 +14,7 @@ Two handlers share one JSON plumbing base (:class:`_JsonHandler`):
 * ``GET /v1/models`` — the hosted models/datasets/backends.
 * ``GET /healthz`` — liveness plus queue occupancy.
 * ``GET /metrics`` — request counters (with the conservation invariants),
-  latency percentiles, session/coalescing stats, cache hit rate, and the
+  latency percentiles, session/coalescing stats, result-store hits, and the
   exportable ``drain`` snapshot the front tier aggregates.
 
 :class:`FrontHandler` — one connection of the *front router*

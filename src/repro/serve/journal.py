@@ -9,10 +9,12 @@ cache-servable) is appended to a journal file as one JSON line::
      "request": {<normalized wire payload>}}
 
 A restarted server replays the journal at boot: each unique fingerprint is
-re-evaluated through a warming session, which loads persisted score-cache
-entries into memory and recomputes anything the killed server admitted but
-never finished — so a repeated burst after the restart is answered from
-cache instead of recomputed (the kill-and-restart soak asserts it).
+re-evaluated through a warming session, which loads the result store's
+disk entries (with ``cache_dir`` set) into memory and recomputes anything
+the killed server admitted but never finished — so a repeated burst after
+the restart is answered from the store instead of recomputed, and with a
+disk tier the warm-up itself costs no engine pass (the kill-and-restart
+soak asserts both).
 
 Crash consistency is line-granular: every record is written and flushed as
 one line, so the journal a killed process leaves behind is readable up to
@@ -25,7 +27,7 @@ Integrity is *recomputed*, never trusted: a journal line's stored
 ``request_fingerprint(request)`` recomputed from the line's own payload.
 A corrupted-but-parseable line (bit rot, a partial overwrite that still
 decodes, an edited file) would otherwise poison the replay dedup map — or
-warm the wrong cache entry under a valid fingerprint — so mismatches are
+warm the wrong stored result under a valid fingerprint — so mismatches are
 skipped exactly like torn lines.
 
 Growth is bounded by boot-time compaction: a repeated burst appends one

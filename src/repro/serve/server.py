@@ -11,8 +11,10 @@ Three layers, separable for testing:
   pool, each worker draining *batches* of admitted jobs through its own
   :class:`repro.api.Session` (``submit`` + one ``flush`` per batch), so
   same-fingerprint requests coalesce onto shared engine passes exactly as
-  they do in-process.  All workers share one score cache, so a repeated
-  configuration is a cache hit regardless of which worker serves it.
+  they do in-process.  All local sessions share one result store
+  (:class:`~repro.api.ResultMemo`, with a disk tier under ``cache_dir``),
+  so a repeated configuration is a hit regardless of which worker serves
+  it.
   Responses are **bit-identical** to a direct ``Session.evaluate`` of the
   same request — the service adds queuing, never arithmetic.
 * :class:`EvalServer` — the stdlib HTTP binding
@@ -28,15 +30,17 @@ Two durability/throughput upgrades sit behind :class:`ServeConfig` flags:
   a :class:`~repro.api.Session` built from a pickled copy of the registry.
   Batches ship as normalized wire payloads (names, not objects), results
   come back as :class:`~repro.api.EvalResult` objects (numpy pickling is
-  exact, so bit-identity survives the process hop).  The parent keeps a
-  shared :class:`~repro.api.ResultMemo` and answers repeated deterministic
-  requests directly from it, without touching a worker.
+  exact, so bit-identity survives the process hop).  The children run with
+  no result store: the parent looks every job up in the replica's store
+  before dispatch, answers hits without touching a worker, and stores
+  every result that comes back — so each entry is written once.
 * ``journal_path`` enables the append-only request journal
   (:mod:`repro.serve.journal`): every admitted deterministic request is
   fingerprinted to disk, and a restarted service replays the journal at
-  boot through a warm session — filling the result memo (every backend)
-  and the score caches (vectorized) so a repeated burst after a restart is
-  served from cache, not recomputed.
+  boot through a warm session — filling the result store so a repeated
+  burst after a restart is served from it, not recomputed.  With a
+  ``cache_dir`` the warm-up itself reads the disk tier and costs no engine
+  pass.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api import ResultMemo, Session, backend_names
 from repro.api.protocol import EvalRequest
 from repro.datasets.base import Dataset
-from repro.eval.runner import ScoreCache
 from repro.serve.admission import (
     AdmissionController,
     Job,
@@ -109,11 +112,12 @@ class ServeConfig:
             window.
         request_timeout: seconds an HTTP handler waits for its job before
             answering 504 (the job itself is not cancelled).
-        cache_dir / cache_max_bytes: persistent score cache, as in
-            :class:`repro.api.Session`.
+        cache_dir / cache_max_bytes: disk tier of the replica's result
+            store and its size bound (see :class:`repro.api.ResultMemo`);
+            ``None`` keeps results in memory only.
         journal_path: append-only request-journal file; ``None`` disables
             journaling (and boot-time warm replay).
-        memo_entries: capacity of the shared result memo.
+        memo_entries: in-memory capacity of the replica's result store.
     """
 
     host: str = "127.0.0.1"
@@ -257,26 +261,15 @@ _WORKER_SESSION: Optional[Session] = None
 _WORKER_REGISTRY: Optional[ModelRegistry] = None
 
 
-def _process_worker_init(
-    registry: ModelRegistry,
-    backend: str,
-    cache_dir: Optional[str],
-    cache_max_bytes: Optional[int],
-) -> None:
+def _process_worker_init(registry: ModelRegistry, backend: str) -> None:
     """Build one worker child's session from a pickled registry copy.
 
-    Each child owns its session (and in-memory caches); the on-disk score
-    cache under ``cache_dir`` is the cross-process shared tier — its file
-    writes are atomic, so children and restarts share it safely.
+    The child's session has no result store: the dispatching parent looks
+    every job up before shipping it and stores every result that returns.
     """
     global _WORKER_SESSION, _WORKER_REGISTRY
     _WORKER_REGISTRY = registry
-    _WORKER_SESSION = Session(
-        backend=backend,
-        cache_dir=cache_dir,
-        cache_max_bytes=cache_max_bytes,
-        result_memo=ResultMemo(),
-    )
+    _WORKER_SESSION = Session(backend=backend)
 
 
 def _picklable_error(error: BaseException) -> BaseException:
@@ -352,12 +345,13 @@ class EvalService:
             workers=self.config.workers,
             controller_config=self.config.resolved_controller_config(),
         )
-        #: one score cache shared by every worker session, so cache hits do
-        #: not depend on which worker a request lands on.
-        self._score_cache = ScoreCache()
-        #: one result memo shared by the local sessions (thread workers and
-        #: the warm/dispatch session) — the all-backend repeated-request tier.
-        self.result_memo = ResultMemo(max_entries=self.config.memo_entries)
+        #: the replica's one result store, shared by the local sessions
+        #: (thread workers and the warm/dispatch session).
+        self.result_memo = ResultMemo(
+            max_entries=self.config.memo_entries,
+            cache_dir=self.config.cache_dir,
+            max_bytes=self.config.cache_max_bytes,
+        )
         self.journal = (
             RequestJournal(self.config.journal_path)
             if self.config.journal_path is not None
@@ -400,12 +394,7 @@ class EvalService:
                 max_workers=self.config.workers,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=_process_worker_init,
-                initargs=(
-                    self.registry,
-                    self.config.backend,
-                    self.config.cache_dir,
-                    self.config.cache_max_bytes,
-                ),
+                initargs=(self.registry, self.config.backend),
             )
         for index in range(self.config.workers):
             if self.config.worker_mode == "process":
@@ -434,20 +423,14 @@ class EvalService:
             self._suppressed_errors += 1
 
     def _make_session(self) -> Session:
-        return Session(
-            backend=self.config.backend,
-            cache=self._score_cache,
-            cache_dir=self.config.cache_dir,
-            cache_max_bytes=self.config.cache_max_bytes,
-            result_memo=self.result_memo,
-        )
+        return Session(backend=self.config.backend, result_memo=self.result_memo)
 
     def _warm_from_journal(self) -> int:
         """Replay journaled requests through the local session at boot.
 
-        Fills the shared result memo (every backend) and the score caches
-        (vectorized) so a restarted server answers a repeated burst from
-        cache.  Best-effort by design: a record naming a model this boot
+        Fills the result store so a restarted server answers a repeated
+        burst from it (with a disk tier, the replay itself is served from
+        disk).  Best-effort by design: a record naming a model this boot
         does not host, or failing evaluation, is skipped — warming must
         never keep a server from starting.
         """
@@ -657,7 +640,7 @@ class EvalService:
         return self.registry.describe()
 
     def metrics(self) -> Dict[str, object]:
-        """Queue counters, latency percentiles, session and cache stats.
+        """Queue counters, latency percentiles, session and result-store stats.
 
         The ``requests`` block satisfies two conservation invariants the CI
         smoke asserts: ``received == admitted + rejected`` and
@@ -672,7 +655,6 @@ class EvalService:
             "engine_passes": 0,
             "coalesced_requests": 0,
         }
-        caches: Dict[int, object] = {}
         for session in self._sessions:
             try:
                 snapshot = session.stats()
@@ -682,20 +664,14 @@ class EvalService:
                 continue
             for key in session_totals:
                 session_totals[key] += snapshot[key]
-            for cache in session._cache_objects():
-                caches[id(cache)] = cache
-        hits = sum(cache.hits for cache in caches.values())
-        misses = sum(cache.misses for cache in caches.values())
         # Process workers report their cumulative session stats with every
-        # served batch; fold the latest snapshot per child in (their caches
-        # live in other processes, so the counters arrive by value).
+        # served batch; fold the latest snapshot per child in (the counters
+        # live in other processes, so they arrive by value).
         with self._stats_lock:
             worker_stats = list(self._worker_stats.values())
         for snapshot in worker_stats:
             for key in session_totals:
                 session_totals[key] += int(snapshot.get(key, 0))
-            hits += int(snapshot.get("cache_hits", 0))
-            misses += int(snapshot.get("cache_misses", 0))
         with self._http_lock:
             http_counts = dict(sorted(self._http_counts.items()))
         with self._stats_lock:
@@ -710,11 +686,6 @@ class EvalService:
             "controller": self.admission.controller.snapshot(),
             "drain": self.admission.drain_snapshot(),
             "sessions": session_totals,
-            "cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / (hits + misses) if (hits + misses) else None,
-            },
             "memo": self.result_memo.snapshot(),
             "journal": journal_view,
             "worker_mode": self.config.worker_mode,

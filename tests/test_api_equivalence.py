@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EvalRequest, Session
-from repro.eval.runner import ScoreCache
 
 _MODEL = {}
 
@@ -52,9 +51,9 @@ def _request(copy_levels, spf_levels, seed, repeats=1):
 
 
 def _session():
-    # A private cache so a cached vectorized tensor can never mask a
-    # divergence (the reference backend is uncached by design).
-    return Session(cache=ScoreCache())
+    # No result store, so a stored vectorized result can never mask a
+    # divergence (the reference backend is never stored by design).
+    return Session()
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_figure7_backend_switch_bit_identical(tiny_context):
             tiny_context,
             copy_levels=(1, 2),
             spf_levels=(1, 2),
-            session=Session(backend=backend, cache=ScoreCache()),
+            session=Session(backend=backend),
         )
         for backend in ("vectorized", "reference")
     }

@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import (
     BackendCapabilities,
+    BoardBackend,
     ChipBackend,
     EvalRequest,
     EvaluationBackend,
@@ -119,6 +120,9 @@ def test_capability_flags_match_design():
     # level (repeat-folded multi-copy images) — grid-capable since PR 7.
     assert ChipBackend().capabilities().spf_grids
     assert ChipBackend().capabilities().multicopy_chips
+    # Seeded results of every engine but the reference loop may be stored.
+    assert ChipBackend().capabilities().cacheable
+    assert BoardBackend().capabilities().cacheable
     assert not ReferenceBackend().capabilities().cacheable
 
 

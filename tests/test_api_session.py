@@ -1,4 +1,4 @@
-"""Tests for the Session facade: backend selection, coalescing, caches.
+"""Tests for the Session facade: backend selection, coalescing, result store.
 
 Covers the no-silent-fallback rule (a chip-only feature requested from the
 vectorized backend raises :class:`UnsupportedRequestError`), capability-based
@@ -11,7 +11,6 @@ import pytest
 
 from repro.api import EvalRequest, ResultMemo, Session, UnsupportedRequestError
 from repro.api.session import _slice_result
-from repro.eval.runner import ScoreCache
 
 
 @pytest.fixture(scope="module")
@@ -28,22 +27,16 @@ def _request(trained, **kwargs):
     return EvalRequest(model=model, dataset=dataset, **kwargs)
 
 
-def _session(**kwargs):
-    # A private in-memory cache isolates each test from the global cache.
-    kwargs.setdefault("cache", ScoreCache())
-    return Session(**kwargs)
-
-
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------
 def test_auto_selects_vectorized_for_plain_requests(trained):
-    session = _session()
+    session = Session()
     assert session.select_backend(_request(trained)) == "vectorized"
 
 
 def test_auto_selects_chip_for_cycle_accurate_requests(trained):
-    session = _session()
+    session = Session()
     request = _request(
         trained, spf_levels=(1,), collect_spike_counters=True
     )
@@ -54,14 +47,14 @@ def test_auto_selects_chip_for_cycle_accurate_requests(trained):
 
 
 def test_explicit_backend_overrides_auto(trained):
-    session = _session(backend="reference")
+    session = Session(backend="reference")
     assert session.evaluate(_request(trained)).backend == "reference"
 
 
 def test_unknown_backend_rejected(trained):
     with pytest.raises(KeyError):
         Session(backend="warp-drive")
-    session = _session()
+    session = Session()
     with pytest.raises(KeyError):
         session.submit(_request(trained), backend="warp-drive")
 
@@ -70,7 +63,7 @@ def test_unknown_backend_rejected(trained):
 # capability mismatch: loud errors, never a silent fallback
 # ----------------------------------------------------------------------
 def test_chip_feature_on_vectorized_backend_raises(trained):
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     with pytest.raises(UnsupportedRequestError, match="cycle-accurate"):
         session.evaluate(
             _request(trained, spf_levels=(1,), collect_spike_counters=True)
@@ -78,7 +71,7 @@ def test_chip_feature_on_vectorized_backend_raises(trained):
 
 
 def test_router_delay_on_reference_backend_raises(trained):
-    session = _session()
+    session = Session()
     with pytest.raises(UnsupportedRequestError, match="router_delay"):
         session.evaluate(
             _request(trained, spf_levels=(1,), router_delay=2), backend="reference"
@@ -88,7 +81,7 @@ def test_router_delay_on_reference_backend_raises(trained):
 def test_spf_grid_on_chip_backend_matches_per_level_requests(trained):
     """Multi-spf chip grids (one folded pass per level) match the levels
     evaluated one request at a time, bit for bit."""
-    session = _session()
+    session = Session()
     grid = session.evaluate(_request(trained, spf_levels=(1, 2)), backend="chip")
     assert grid.backend == "chip"
     for column, spf in enumerate(grid.spf_levels):
@@ -105,7 +98,7 @@ def test_spf_grid_on_chip_backend_matches_per_level_requests(trained):
 
 def test_capability_error_does_not_run_another_backend(trained):
     """The rejected request must not leak to a different backend."""
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     with pytest.raises(UnsupportedRequestError):
         session.evaluate(
             _request(trained, spf_levels=(1,), collect_spike_counters=True)
@@ -116,7 +109,7 @@ def test_capability_error_does_not_run_another_backend(trained):
 
 def test_failed_request_does_not_abort_the_batch(trained):
     """A capability failure resolves its own handle; the rest still serve."""
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     bad = session.submit(
         _request(trained, spf_levels=(1,), collect_spike_counters=True)
     )
@@ -131,7 +124,7 @@ def test_failed_request_does_not_abort_the_batch(trained):
 # request batching / coalescing
 # ----------------------------------------------------------------------
 def test_submit_flush_coalesces_same_fingerprint(trained):
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     full = session.submit(_request(trained, copy_levels=(1, 2), spf_levels=(1, 2)))
     point = session.submit(_request(trained, copy_levels=(2,), spf_levels=(2,)))
     sub = session.submit(_request(trained, copy_levels=(1, 2), spf_levels=(2,)))
@@ -147,10 +140,10 @@ def test_submit_flush_coalesces_same_fingerprint(trained):
 
 
 def test_coalesced_result_bit_identical_to_individual(trained):
-    individual = _session(backend="vectorized").evaluate(
+    individual = Session(backend="vectorized").evaluate(
         _request(trained, copy_levels=(2,), spf_levels=(2,))
     )
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     session.submit(_request(trained, copy_levels=(1, 2), spf_levels=(1, 2)))
     coalesced = session.submit(_request(trained, copy_levels=(2,), spf_levels=(2,)))
     session.flush()
@@ -161,7 +154,7 @@ def test_coalesced_result_bit_identical_to_individual(trained):
 
 def test_different_grid_maxima_do_not_coalesce(trained):
     """Only passes over the same largest configuration share bits."""
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     session.submit(_request(trained, copy_levels=(1, 2)))
     session.submit(_request(trained, copy_levels=(1, 4)))
     session.flush()
@@ -170,7 +163,7 @@ def test_different_grid_maxima_do_not_coalesce(trained):
 
 
 def test_fresh_entropy_requests_never_coalesce(trained):
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     session.submit(_request(trained, seed=None))
     session.submit(_request(trained, seed=None))
     session.flush()
@@ -179,7 +172,7 @@ def test_fresh_entropy_requests_never_coalesce(trained):
 
 
 def test_result_triggers_flush_on_demand(trained):
-    session = _session(backend="vectorized")
+    session = Session(backend="vectorized")
     pending = session.submit(_request(trained))
     result = pending.result()  # no explicit flush
     assert result.backend == "vectorized"
@@ -189,7 +182,7 @@ def test_result_triggers_flush_on_demand(trained):
 def test_coalescing_on_reference_backend(trained):
     """Coalescing is backend-agnostic: the uncached reference loop also
     serves grouped requests with one pass."""
-    session = _session(backend="reference")
+    session = Session(backend="reference")
     a = session.submit(_request(trained, copy_levels=(1, 2), spf_levels=(1,)))
     b = session.submit(_request(trained, copy_levels=(2,), spf_levels=(1,)))
     session.flush()
@@ -208,7 +201,7 @@ def test_key_failure_does_not_drop_other_requests(trained):
 
     register_backend("broken-test-backend", _broken_factory)
     try:
-        session = _session(backend="vectorized")
+        session = Session(backend="vectorized")
         good = session.submit(_request(trained))
         bad = session.submit(_request(trained), backend="broken-test-backend")
         session.flush()
@@ -220,46 +213,53 @@ def test_key_failure_does_not_drop_other_requests(trained):
 
 
 def test_engine_passes_exclude_cache_hits(trained):
-    """A cache-served evaluation is not counted as an engine pass."""
-    session = _session(backend="vectorized")
+    """A store-served evaluation is not counted as an engine pass."""
+    session = Session(backend="vectorized", result_memo=ResultMemo())
     session.evaluate(_request(trained))
     assert session.stats.engine_passes == 1
-    session.evaluate(_request(trained))  # served from the in-memory cache
+    session.evaluate(_request(trained))  # served from the result store
     assert session.stats.engine_passes == 1
     backend = session.backend("vectorized")
     assert backend.passes == 1
 
 
-# ----------------------------------------------------------------------
-# cache ownership
-# ----------------------------------------------------------------------
-def test_session_threads_disk_cache_into_vectorized_backend(trained, tmp_path):
-    session = _session(backend="vectorized", cache_dir=str(tmp_path))
-    session.evaluate(_request(trained))
-    backend = session.backend("vectorized")
-    assert backend.cache_dir == str(tmp_path)
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
-    assert len(entries) == 1
-
-    # A second session over the same directory is served from disk: the
-    # score tensors round-trip bit for bit.
-    warm = _session(backend="vectorized", cache_dir=str(tmp_path))
-    first = session.evaluate(_request(trained))
-    second = warm.evaluate(_request(trained))
+def test_bare_session_reuses_nothing(trained):
+    """Without a result store, a repeat is a fresh engine pass (no hidden
+    process-wide cache), and still bit-identical."""
+    first = Session(backend="vectorized").evaluate(_request(trained, seed=2))
+    session = Session(backend="vectorized")
+    second = session.evaluate(_request(trained, seed=2))
+    third = session.evaluate(_request(trained, seed=2))
+    assert session.stats.engine_passes == 2
     assert np.array_equal(first.scores, second.scores)
+    assert np.array_equal(second.scores, third.scores)
 
 
-def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
-    session = _session(
-        backend="vectorized", cache_dir=str(tmp_path), cache_max_bytes=1
+# ----------------------------------------------------------------------
+# the disk tier
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["vectorized", "chip"])
+def test_session_warms_from_memo_disk_tier(trained, tmp_path, backend):
+    request = _request(trained, max_samples=12)
+    session = Session(
+        backend=backend, result_memo=ResultMemo(cache_dir=str(tmp_path))
     )
-    session.evaluate(_request(trained))
-    # The bound is enforced on write; only the newest entry survives.
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
+    first = session.evaluate(request)
+    entries = [n for n in tmp_path.iterdir() if n.name.startswith("result-")]
     assert len(entries) == 1
-    session.evaluate(_request(trained, seed=123))
-    entries = [n for n in tmp_path.iterdir() if n.name.startswith("scores-")]
-    assert len(entries) == 1
+
+    # A fresh store over the same directory serves a fresh session from
+    # disk: no engine pass, and the whole result round-trips bit for bit.
+    memo = ResultMemo(cache_dir=str(tmp_path))
+    warm = Session(backend=backend, result_memo=memo)
+    second = warm.evaluate(request)
+    assert warm.stats.engine_passes == 0
+    assert memo.hits == 1 and memo.misses == 0
+    assert second.backend == first.backend
+    for name in ("scores", "accuracy", "labels", "class_neuron_counts", "cores"):
+        assert getattr(second, name).dtype == getattr(first, name).dtype
+        assert np.array_equal(getattr(second, name), getattr(first, name))
+    assert second.seed == first.seed and second.repeats == first.repeats
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
 # ----------------------------------------------------------------------
 def test_result_memo_serves_repeat_without_engine_pass(trained):
     memo = ResultMemo()
-    session = _session(backend="vectorized", result_memo=memo)
+    session = Session(backend="vectorized", result_memo=memo)
     first = session.evaluate(_request(trained, seed=31))
     passes = session.stats.engine_passes
     second = session.evaluate(_request(trained, seed=31))
@@ -278,10 +278,10 @@ def test_result_memo_serves_repeat_without_engine_pass(trained):
 
 
 def test_result_memo_covers_chip_backend(trained):
-    # The chip backend has no score cache (cacheable=False); the memo is
-    # the only tier that can serve its repeats, and must do so exactly.
+    # The chip backend is cacheable: the store serves its repeats, spike
+    # counters included, exactly.
     memo = ResultMemo()
-    session = _session(backend="chip", result_memo=memo)
+    session = Session(backend="chip", result_memo=memo)
     request = _request(
         trained,
         copy_levels=(1,),
@@ -302,7 +302,7 @@ def test_result_memo_slices_subgrid_out_of_wider_entry(trained):
     # Same grid *maxima* (the coalescing key), fewer reported levels: the
     # memoized union entry serves the sub-grid read without recomputation.
     memo = ResultMemo()
-    session = _session(backend="vectorized", result_memo=memo)
+    session = Session(backend="vectorized", result_memo=memo)
     wide = session.evaluate(
         _request(trained, copy_levels=(1, 2), spf_levels=(1, 2), seed=8)
     )
@@ -316,9 +316,8 @@ def test_result_memo_slices_subgrid_out_of_wider_entry(trained):
 
 def test_result_memo_is_shared_across_sessions(trained):
     memo = ResultMemo()
-    cache = ScoreCache()
-    one = Session(backend="vectorized", cache=cache, result_memo=memo)
-    two = Session(backend="vectorized", cache=cache, result_memo=memo)
+    one = Session(backend="vectorized", result_memo=memo)
+    two = Session(backend="vectorized", result_memo=memo)
     first = one.evaluate(_request(trained, seed=12))
     second = two.evaluate(_request(trained, seed=12))
     assert two.stats.engine_passes == 0
@@ -327,19 +326,19 @@ def test_result_memo_is_shared_across_sessions(trained):
 
 def test_seed_none_is_never_memoized(trained):
     memo = ResultMemo()
-    session = _session(backend="vectorized", result_memo=memo)
+    session = Session(backend="vectorized", result_memo=memo)
     session.evaluate(_request(trained, seed=None))
     assert len(memo) == 0
     assert memo.hits == 0
 
 
 def test_cached_result_and_memoize_result_round_trip(trained):
-    donor = _session(backend="vectorized", result_memo=ResultMemo())
+    donor = Session(backend="vectorized", result_memo=ResultMemo())
     request = _request(trained, seed=14)
     result = donor.evaluate(request)
 
     memo = ResultMemo()
-    receiver = Session(backend="vectorized", cache=ScoreCache(), result_memo=memo)
+    receiver = Session(backend="vectorized", result_memo=memo)
     assert receiver.cached_result(request) is None
     receiver.memoize_result(request, result)
     served = receiver.cached_result(request)
@@ -356,20 +355,23 @@ def test_cached_result_and_memoize_result_round_trip(trained):
 
 def test_memo_lru_eviction_keeps_capacity(trained):
     memo = ResultMemo(max_entries=2)
-    session = _session(backend="vectorized", result_memo=memo)
+    session = Session(backend="vectorized", result_memo=memo)
     for seed in (41, 42, 43):
         session.evaluate(_request(trained, copy_levels=(1,), spf_levels=(1,), seed=seed))
     assert len(memo) == 2
-    # The oldest entry (seed=41) was evicted; serving it again recomputes.
+    # The oldest entry (seed=41) was evicted; serving it again recomputes,
+    # while the newest one (seed=43) is still a hit.
     passes = session.stats.engine_passes
     session.evaluate(_request(trained, copy_levels=(1,), spf_levels=(1,), seed=41))
-    assert session.stats.engine_passes >= passes  # engine or score cache
+    assert session.stats.engine_passes == passes + 1
+    session.evaluate(_request(trained, copy_levels=(1,), spf_levels=(1,), seed=43))
+    assert session.stats.engine_passes == passes + 1
     assert memo.snapshot()["entries"] == 2
 
 
 def test_memo_store_keeps_wider_entry(trained):
     memo = ResultMemo()
-    session = _session(backend="vectorized", result_memo=memo)
+    session = Session(backend="vectorized", result_memo=memo)
     wide_request = _request(trained, copy_levels=(1, 2), spf_levels=(1, 2), seed=9)
     wide = session.evaluate(wide_request)
     # Re-storing a narrower result under the same key must not shrink
@@ -386,3 +388,39 @@ def test_memo_store_keeps_wider_entry(trained):
 def test_memo_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         ResultMemo(max_entries=0)
+
+
+def test_result_memo_distinguishes_datasets(trained, tiny_context):
+    # Two same-sized datasets with different contents must not collide.
+    model, dataset = trained
+    other = tiny_context.splits().train.take(dataset.sample_count)
+    memo = ResultMemo()
+    session = Session(backend="vectorized", result_memo=memo)
+    for evaluated in (dataset, other):
+        request = EvalRequest(
+            model=model,
+            dataset=evaluated,
+            copy_levels=(1,),
+            spf_levels=(1,),
+            repeats=1,
+            seed=0,
+        )
+        session.evaluate(request)
+    assert memo.misses == 2 and memo.hits == 0 and len(memo) == 2
+    assert session.stats.engine_passes == 2
+
+
+def test_reference_backend_is_never_memoized(trained):
+    """``reference`` is not cacheable: every evaluation recomputes."""
+    memo = ResultMemo()
+    session = Session(backend="reference", result_memo=memo)
+    request = _request(trained, copy_levels=(1,), spf_levels=(1,), max_samples=8)
+    first = session.evaluate(request)
+    second = session.evaluate(request)
+    assert session.stats.engine_passes == 2
+    assert session.backend("reference").passes == 2
+    assert memo.hits == 0 and memo.misses == 0 and len(memo) == 0
+    assert session.cached_result(request) is None
+    session.memoize_result(request, first)
+    assert len(memo) == 0
+    assert np.array_equal(first.scores, second.scores)

@@ -11,10 +11,17 @@ oracle (``tests/chip_oracle.py``) in every reference run:
 * spreading whole copies over several chips changes *where* cores live but
   not a single count, and carries zero link traffic;
 * splitting a copy across chips hands spikes off at chip edges through the
-  mesh links; with deterministic (history-free) neurons the counts are
-  invariant under any ``link_delay`` and any ``router_delay``, and the
-  summed delivered counters across the board equal the single chip's
-  (conservation: a spike crosses a link instead of vanishing);
+  mesh links, and the summed delivered counters across the board equal the
+  single chip's (conservation: a spike crosses a link instead of
+  vanishing).  The counts themselves are invariant under ``link_delay``
+  only when every input of each neuron is delayed by the same number of
+  links: single-layer models (no transition), splits where every path of a
+  layer transition pays the same links (one layer per chip), and the half
+  splits pinned below, whose unequal transitions cancel along every path.
+  Where the paths into one neuron pay different links (e.g. a test-bench-5
+  copy cut through its first layer), that neuron integrates spikes from
+  different input ticks and the counts change.  ``router_delay`` and a
+  ``link_delay`` of 0 never change them;
 * ``board.reset()`` drops run state but not programming — a rerun after a
   completed (or drained) run reproduces the first run exactly, link
   counters included;
@@ -221,8 +228,10 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
     assert program.placement.split_copies() == tuple(range(n_copies))
     stats = program.placement.mesh_statistics()
     assert stats["max_chip_distance"] >= 1
-    # Deterministic history-free neurons: counts are invariant under any
-    # link/router delay — the spikes arrive later but identical.
+    # Half splits of these topologies delay every input of a neuron by the
+    # same number of links (at depth 3 the two layer-1 -> layer-2 paths pay
+    # 1 and 0 links, after layer-0 -> layer-1 paths that paid 0 and 1), so
+    # the spikes arrive later but identical.
     assert np.array_equal(ref_counts, counts)
     assert np.array_equal(
         ref_counters, board_spike_counters(board, copies, program)
@@ -236,6 +245,51 @@ def test_split_copy_handoff_matches_single_chip(depth, delay, link_delay, seed):
         board.fabric.spikes_carried * max(1, stats["max_chip_distance"])
     )
     assert board.fabric.spikes_carried == sum(board.fabric.pair_counts.values())
+
+
+@given(
+    depth=st.integers(min_value=2, max_value=3),
+    delay=st.integers(min_value=1, max_value=2),
+    link_delay=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=100),
+)
+@_SETTINGS
+def test_layer_per_chip_split_matches_single_chip(depth, delay, link_delay, seed):
+    """One layer per chip: every path of a transition pays the same links,
+    so a multi-layer copy reproduces the chip engine at any link delay."""
+    rng = np.random.default_rng(seed)
+    n_copies = 2
+    copies = random_deployed_copies(rng, n_copies, depth)
+    network = copies[0].corelet_network
+    volumes = (rng.random((3, 3, network.input_dim)) < 0.45).astype(np.int8)
+
+    _, _, ref_counts, ref_counters = _chip_reference(
+        copies, volumes, None, delay, None
+    )
+
+    # Every layer of these topologies has at most two cores: a two-core
+    # chip holds exactly one layer of one copy.
+    widest = max(len(layer) for layer in network.corelets)
+    config = BoardConfig(
+        grid_shape=(2, 3),
+        chip_config=ChipConfig(grid_shape=(1, widest)),
+        link_delay=link_delay,
+    )
+    board, program = program_board_multicopy(copies, config, router_delay=delay)
+    chip_layers = {}
+    for (copy, layer, _), (chip_index, _, _) in program.placement.assignments.items():
+        chip_layers.setdefault(chip_index, set()).add((copy, layer))
+    assert all(len(held) == 1 for held in chip_layers.values())
+    assert len(chip_layers) == n_copies * depth
+    for copy in range(n_copies):
+        assert min(program.placement.transition_chip_distances(copy)) >= 1
+
+    counts = run_board_inference_multicopy(board, copies, program, volumes)
+    assert np.array_equal(ref_counts, counts)
+    assert np.array_equal(
+        ref_counters, board_spike_counters(board, copies, program)
+    )
+    assert board.fabric.spikes_carried > 0 or not ref_counters.any()
 
 
 def test_board_reset_reproduces_the_run():

@@ -14,7 +14,8 @@ from repro.eval.engine import (
     evaluate_scores_reference,
     forward_spikes_reference,
 )
-from repro.eval.runner import ScoreCache, SweepRunner, model_fingerprint
+from repro.api import EvalRequest, ResultMemo, Session
+from repro.eval.runner import SweepRunner, model_fingerprint
 from repro.eval.sweep import accuracy_sweep
 from repro.encoding.stochastic import StochasticEncoder
 from repro.mapping.corelet import Corelet, CoreletNetwork
@@ -183,13 +184,28 @@ def test_non_exact_magnitude_routes_to_fallback():
 
 
 def test_cached_tensors_are_frozen(trained_model, small_dataset):
-    cache = ScoreCache()
-    runner = SweepRunner(
-        copy_levels=(1,), spf_levels=(1,), repeats=1, max_samples=10, cache=cache
+    """A caller writing into a stored result cannot poison later hits."""
+    session = Session(backend="vectorized", result_memo=ResultMemo())
+    request = EvalRequest(
+        model=trained_model,
+        dataset=small_dataset.test,
+        copy_levels=(1,),
+        spf_levels=(1,),
+        repeats=1,
+        seed=0,
+        max_samples=10,
     )
-    tensors = runner.cumulative_scores(trained_model, small_dataset.test, rng=0)
+    first = session.evaluate(request)
+    labels = first.labels.copy()
+    counts = first.class_neuron_counts.copy()
     with pytest.raises(ValueError):
-        tensors[0][0, 0, 0, 0] = 99.0  # cache entries are read-only
+        first.labels[:] = -1  # hits share the stored array: read-only
+    with pytest.raises(ValueError):
+        first.class_neuron_counts[:] = 0
+    second = session.evaluate(request)
+    assert session.stats.engine_passes == 1
+    assert np.array_equal(second.labels, labels)
+    assert np.array_equal(second.class_neuron_counts, counts)
 
 
 def test_evaluator_rejects_mismatched_copies(trained_model, deployed_copies):
@@ -339,13 +355,12 @@ def test_zero_input_frame_produces_no_spikes(trained_model):
 
 
 # ----------------------------------------------------------------------
-# SweepRunner: grid equivalence and caching
+# SweepRunner: grid equivalence
 # ----------------------------------------------------------------------
 def test_sweep_runner_matches_accuracy_sweep(trained_model, small_dataset):
     dataset = small_dataset.test
     runner = SweepRunner(
-        copy_levels=(1, 2), spf_levels=(1, 2), repeats=2, max_samples=25,
-        cache=ScoreCache(),
+        copy_levels=(1, 2), spf_levels=(1, 2), repeats=2, max_samples=25
     )
     from_runner = runner.run(trained_model, dataset, rng=0, label="tea")
     from_function = accuracy_sweep(
@@ -357,48 +372,10 @@ def test_sweep_runner_matches_accuracy_sweep(trained_model, small_dataset):
         rng=0,
         max_samples=25,
         label="tea",
-        cache=ScoreCache(),
     )
     assert np.array_equal(from_runner.mean_accuracy, from_function.mean_accuracy)
     assert np.array_equal(from_runner.std_accuracy, from_function.std_accuracy)
     assert from_runner.copy_levels == from_function.copy_levels
-
-
-def test_sweep_runner_cache_hit_skips_reevaluation(trained_model, small_dataset):
-    cache = ScoreCache()
-    runner = SweepRunner(
-        copy_levels=(1, 2), spf_levels=(1,), repeats=1, max_samples=20, cache=cache
-    )
-    first = runner.run(trained_model, small_dataset.test, rng=0)
-    assert cache.misses == 1 and cache.hits == 0 and len(cache) == 1
-    second = runner.run(trained_model, small_dataset.test, rng=0)
-    assert cache.hits == 1
-    assert np.array_equal(first.mean_accuracy, second.mean_accuracy)
-    # A different seed is a different key.
-    runner.run(trained_model, small_dataset.test, rng=1)
-    assert cache.misses == 2
-
-
-def test_sweep_runner_generator_rng_bypasses_cache(trained_model, small_dataset):
-    cache = ScoreCache()
-    runner = SweepRunner(
-        copy_levels=(1,), spf_levels=(1,), repeats=1, max_samples=10, cache=cache
-    )
-    runner.run(trained_model, small_dataset.test, rng=np.random.default_rng(0))
-    # rng=None means fresh entropy per call — also never cached.
-    runner.run(trained_model, small_dataset.test, rng=None)
-    assert len(cache) == 0
-
-
-def test_sweep_runner_cache_distinguishes_datasets(trained_model, small_dataset):
-    # Two same-sized datasets with different contents must not collide.
-    cache = ScoreCache()
-    runner = SweepRunner(
-        copy_levels=(1,), spf_levels=(1,), repeats=1, max_samples=20, cache=cache
-    )
-    runner.run(trained_model, small_dataset.test, rng=0)
-    runner.run(trained_model, small_dataset.train, rng=0)
-    assert cache.misses == 2 and cache.hits == 0 and len(cache) == 2
 
 
 def test_model_fingerprint_distinguishes_weights(trained_model, small_dataset):
@@ -407,18 +384,6 @@ def test_model_fingerprint_distinguishes_weights(trained_model, small_dataset):
     ).model
     assert model_fingerprint(trained_model) == model_fingerprint(trained_model)
     assert model_fingerprint(trained_model) != model_fingerprint(other)
-
-
-def test_score_cache_eviction_bounds_entries():
-    cache = ScoreCache(max_entries=2)
-    cache.put(("a",), [np.zeros(1)])
-    cache.put(("b",), [np.zeros(1)])
-    cache.put(("c",), [np.zeros(1)])
-    assert len(cache) == 2
-    assert cache.get(("a",)) is None  # oldest evicted
-    assert cache.get(("c",)) is not None
-    with pytest.raises(ValueError):
-        ScoreCache(max_entries=0)
 
 
 # ----------------------------------------------------------------------

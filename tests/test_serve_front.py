@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.api import EvalRequest, Session
-from repro.eval.runner import ScoreCache
 from repro.serve import (
     EvalServer,
     ModelRegistry,
@@ -195,7 +194,7 @@ def test_routed_result_bit_identical_to_direct_session(registry, client):
     served = client.evaluate(
         model="tea", copy_levels=[1, 2], spf_levels=[1, 2], repeats=2, seed=0
     )
-    direct = Session(cache=ScoreCache()).evaluate(
+    direct = Session().evaluate(
         _direct(registry, copy_levels=(1, 2), spf_levels=(1, 2), repeats=2, seed=0)
     )
     assert served.backend == direct.backend
@@ -377,7 +376,7 @@ def test_replica_kill_mid_burst_is_absorbed_by_failover(registry):
     )
     front = FrontServer(config).start()
     client = ServeClient(port=front.port, timeout=120.0)
-    session = Session(cache=ScoreCache())
+    session = Session()
     try:
         served = {}
         for seed in range(3):
@@ -593,7 +592,7 @@ def test_replica_500_spills_to_the_next_preference(registry):
         served = client.evaluate(
             model="tea", copy_levels=[1], spf_levels=[1], seed=5
         )
-        direct = Session(cache=ScoreCache()).evaluate(
+        direct = Session().evaluate(
             _direct(registry, copy_levels=(1,), spf_levels=(1,), seed=5)
         )
         assert np.array_equal(served.scores, direct.scores)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import EvalRequest, Session, UnsupportedRequestError
 from repro.api.session import SessionStats
-from repro.eval.runner import ScoreCache
 from repro.serve import handlers
 from repro.serve import (
     EvalServer,
@@ -77,7 +76,7 @@ def test_served_result_bit_identical_to_direct_session(registry, client):
     served = client.evaluate(
         model="tea", copy_levels=[1, 2], spf_levels=[1, 2], repeats=2, seed=0
     )
-    direct = Session(cache=ScoreCache()).evaluate(
+    direct = Session().evaluate(
         _direct(registry, copy_levels=(1, 2), spf_levels=(1, 2), repeats=2, seed=0)
     )
     assert served.backend == direct.backend
@@ -190,7 +189,7 @@ def test_concurrent_burst_all_bit_identical(registry, client):
         thread.join(timeout=120)
     assert not errors
     assert len(results) == len(grids) * 2
-    session = Session(cache=ScoreCache())
+    session = Session()
     for index, grid in enumerate(grids * 2):
         copy_levels, spf_levels = grid
         direct = session.evaluate(
@@ -228,16 +227,14 @@ def test_metrics_invariants_after_traffic(client):
 
 
 def test_repeated_request_is_a_cache_hit(client):
-    # The repeat is served without recomputation by one of the two cache
-    # tiers: the result memo (any backend) or the score cache (vectorized).
+    # The repeat is served from the replica's result store, not recomputed.
     before = client.metrics()
     client.evaluate(model="tea", copy_levels=[1, 2], spf_levels=[1], seed=11)
     client.evaluate(model="tea", copy_levels=[1, 2], spf_levels=[1], seed=11)
     after = client.metrics()
-    served_before = before["cache"]["hits"] + before["memo"]["hits"]
-    served_after = after["cache"]["hits"] + after["memo"]["hits"]
-    assert served_after >= served_before + 1
-    assert after["memo"]["hit_rate"] > 0 or after["cache"]["hit_rate"] > 0
+    assert after["memo"]["hits"] >= before["memo"]["hits"] + 1
+    assert after["memo"]["hit_rate"] > 0
+    assert "cache" not in after  # one store, one block
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +485,7 @@ def test_process_worker_mode_bit_identical(registry):
         metrics = client.metrics()
         assert metrics["worker_mode"] == "process"
         assert_metrics_invariants(metrics)
-    session = Session(cache=ScoreCache())
+    session = Session()
     direct = session.evaluate(
         _direct(registry, copy_levels=(1, 2), spf_levels=(1,), seed=0)
     )
@@ -510,7 +507,7 @@ def test_process_worker_mode_bit_identical(registry):
 
 
 def test_repeated_chip_request_served_from_memo(registry):
-    """The result memo covers backends the score cache never touches."""
+    """The result store covers the cycle-accurate backends too."""
     config = ServeConfig(port=0, workers=1, queue_depth=8)
     with EvalServer(registry, config) as running:
         client = ServeClient(port=running.port, timeout=120.0)
@@ -537,9 +534,9 @@ def test_journal_warm_restart_answers_burst_from_cache(registry, tmp_path):
     """Kill-and-restart durability: the journal warms the next boot.
 
     A server journals its admitted burst (vectorized + chip), is torn down,
-    and a fresh server on the same journal + cache directory must answer
-    the repeated burst bit-identically *without recomputation* (zero new
-    engine passes after the boot-time warm replay).
+    and a fresh server on the same journal + cache directory must warm from
+    the disk tier (zero engine passes at boot, chip included) and answer
+    the repeated burst bit-identically *without recomputation*.
     """
     journal_path = str(tmp_path / "journal.jsonl")
     config = ServeConfig(
@@ -572,16 +569,49 @@ def test_journal_warm_restart_answers_burst_from_cache(registry, tmp_path):
         client = ServeClient(port=revived.port, timeout=120.0)
         metrics = client.metrics()
         assert metrics["journal"]["warmed_at_boot"] == len(burst)
-        passes_after_warm = metrics["sessions"]["engine_passes"]
+        assert metrics["sessions"]["engine_passes"] == 0
         second_results = [client.evaluate(**kwargs) for kwargs in burst]
         metrics = client.metrics()
-        assert metrics["sessions"]["engine_passes"] == passes_after_warm
+        assert metrics["sessions"]["engine_passes"] == 0
         assert metrics["memo"]["hits"] >= len(burst)
         assert_metrics_invariants(metrics)
     for first, second in zip(first_results, second_results):
         assert first.backend == second.backend
         assert np.array_equal(first.scores, second.scores)
         assert np.array_equal(first.accuracy, second.accuracy)
+
+
+@pytest.mark.parametrize("worker_mode", ["thread", "process"])
+def test_corrupt_store_entry_is_a_miss_after_restart(registry, tmp_path, worker_mode):
+    """Garbage in the disk tier never becomes a 500: it is a miss."""
+    cache_dir = tmp_path / "results"
+    config = ServeConfig(
+        port=0,
+        workers=1,
+        worker_mode=worker_mode,
+        queue_depth=8,
+        cache_dir=str(cache_dir),
+    )
+    kwargs = dict(model="tea", copy_levels=[1, 2], spf_levels=[1, 2], seed=23)
+    with EvalServer(registry, config) as running:
+        ServeClient(port=running.port, timeout=120.0).evaluate(**kwargs)
+    entries = [p for p in cache_dir.iterdir() if p.name.startswith("result-")]
+    assert len(entries) == 1
+    entries[0].write_bytes(b"PK\x03\x04 torn entry, not an npz archive")
+
+    with EvalServer(registry, config) as revived:
+        client = ServeClient(port=revived.port, timeout=120.0)
+        served = client.evaluate(**kwargs)
+        metrics = client.metrics()
+    direct = Session().evaluate(
+        _direct(registry, copy_levels=(1, 2), spf_levels=(1, 2), seed=23)
+    )
+    assert metrics["http"] == {"POST /v1/evaluate 200": 1}
+    assert metrics["memo"]["hits"] == 0 and metrics["memo"]["misses"] >= 1
+    assert metrics["sessions"]["engine_passes"] == 1
+    assert served.backend == direct.backend
+    for name in ("scores", "accuracy", "labels", "class_neuron_counts", "cores"):
+        assert np.array_equal(getattr(served, name), getattr(direct, name))
 
 
 def test_seed_none_requests_are_never_journaled(registry, tmp_path):
