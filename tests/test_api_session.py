@@ -262,6 +262,42 @@ def test_session_warms_from_memo_disk_tier(trained, tmp_path, backend):
     assert second.seed == first.seed and second.repeats == first.repeats
 
 
+def _disk_entries(directory):
+    return [n for n in directory.iterdir() if n.name.startswith("result-")]
+
+
+def test_session_threads_disk_cache_into_vectorized_backend(trained, tmp_path):
+    session = Session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
+    )
+    session.evaluate(_request(trained))
+    assert session.result_memo.cache_dir == str(tmp_path)
+    assert len(_disk_entries(tmp_path)) == 1
+
+    # A repeat is served from the store and writes nothing; another seed is
+    # another coalescing key and so another entry.
+    session.evaluate(_request(trained))
+    assert session.stats.engine_passes == 1
+    assert len(_disk_entries(tmp_path)) == 1
+    session.evaluate(_request(trained, seed=123))
+    assert len(_disk_entries(tmp_path)) == 2
+
+
+def test_session_cache_max_bytes_reaches_runner(trained, tmp_path):
+    memo = ResultMemo(cache_dir=str(tmp_path), max_bytes=1)
+    session = Session(backend="vectorized", result_memo=memo)
+    session.evaluate(_request(trained))
+    # The bound is enforced on write; only the newest entry survives.
+    assert len(_disk_entries(tmp_path)) == 1
+    session.evaluate(_request(trained, seed=123))
+    assert len(_disk_entries(tmp_path)) == 1
+    warm = Session(
+        backend="vectorized", result_memo=ResultMemo(cache_dir=str(tmp_path))
+    )
+    warm.evaluate(_request(trained, seed=123))
+    assert warm.stats.engine_passes == 0
+
+
 # ----------------------------------------------------------------------
 # result memoization
 # ----------------------------------------------------------------------

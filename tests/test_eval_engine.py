@@ -208,6 +208,29 @@ def test_cached_tensors_are_frozen(trained_model, small_dataset):
     assert np.array_equal(second.class_neuron_counts, counts)
 
 
+def test_score_cache_eviction_bounds_entries(trained_model, small_dataset):
+    """The result store's memory tier holds at most ``max_entries``."""
+    request = EvalRequest(
+        model=trained_model,
+        dataset=small_dataset.test,
+        copy_levels=(1,),
+        spf_levels=(1,),
+        repeats=1,
+        seed=0,
+        max_samples=10,
+    )
+    result = Session(backend="vectorized").evaluate(request)
+    cache = ResultMemo(max_entries=2)
+    cache.store(("a",), result)
+    cache.store(("b",), result)
+    cache.store(("c",), result)
+    assert len(cache) == 2
+    assert cache.lookup(("a",), request) is None  # oldest evicted
+    assert cache.lookup(("c",), request) is not None
+    with pytest.raises(ValueError):
+        ResultMemo(max_entries=0)
+
+
 def test_evaluator_rejects_mismatched_copies(trained_model, deployed_copies):
     with pytest.raises(ValueError):
         VectorizedEvaluator([])

@@ -18,8 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api import EvalResult, ResultMemo
+from repro.api import EvalRequest, EvalResult, ResultMemo, Session
 from repro.eval.runner import SweepRunner
+from repro.serve import EvalService, ModelRegistry, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,60 @@ def test_disk_cache_max_bytes_enforced_on_put(tmp_path):
     assert _disk_entries(tmp_path) == [os.path.basename(memo._path(_key(2)))]
     fresh = ResultMemo(cache_dir=str(tmp_path))
     assert fresh.lookup(_key(2), _levels(_result())) is not None
+
+
+def test_sweep_runner_threads_cache_max_bytes(tiny_context, tmp_path):
+    """A replica's ``cache_max_bytes`` bounds the store its sweeps fill."""
+    registry = ModelRegistry.from_context(tiny_context, methods=("tea",))
+    service = EvalService(
+        registry, ServeConfig(cache_dir=str(tmp_path), cache_max_bytes=1)
+    )
+    memo = service.result_memo
+    assert memo.cache_dir == str(tmp_path) and memo.max_bytes == 1
+    session = Session(backend="vectorized", result_memo=memo)
+    for seed in (0, 1):
+        session.evaluate(
+            EvalRequest(
+                model=registry.model("tea"),
+                dataset=registry.dataset("test"),
+                copy_levels=(1,),
+                spf_levels=(1,),
+                repeats=1,
+                seed=seed,
+                max_samples=12,
+            )
+        )
+    # The bound keeps the directory at a single (the newest) entry.
+    assert len(_disk_entries(tmp_path)) == 1
+
+
+def test_sweep_runner_serves_second_runner_from_disk(trained, tmp_path):
+    model, dataset = trained
+    request = EvalRequest(
+        model=model,
+        dataset=dataset,
+        copy_levels=(1, 2),
+        spf_levels=(1, 2),
+        repeats=2,
+        seed=0,
+        max_samples=12,
+    )
+    first = ResultMemo(cache_dir=str(tmp_path))
+    computed = Session(backend="vectorized", result_memo=first).evaluate(request)
+    assert first.misses == 1 and len(_disk_entries(tmp_path)) == 1
+
+    second = ResultMemo(cache_dir=str(tmp_path))
+    session = Session(backend="vectorized", result_memo=second)
+    served = session.evaluate(request)
+    assert second.hits == 1 and session.stats.engine_passes == 0
+    assert np.array_equal(computed.scores, served.scores)
+
+    # The disk entry also seeds the memory tier: with the file gone, the
+    # next call is still served without an engine pass.
+    for name in _disk_entries(tmp_path):
+        os.remove(os.path.join(tmp_path, name))
+    session.evaluate(request)
+    assert second.hits == 2 and session.stats.engine_passes == 0
 
 
 def test_disk_cache_get_refreshes_mtime_for_lru(tmp_path):
