@@ -2,8 +2,10 @@
 
 Times the paper's "ground truth" path — cycle-accurate TrueNorth chip
 simulation of a deployed test-bench network — on the batched engine (one
-copy through :func:`repro.mapping.pipeline.run_chip_inference_multicopy`,
-one crossbar matmul per core per tick for the whole batch) against the
+copy on a one-chip board run by
+:func:`repro.mapping.pipeline.run_board_inference_multicopy`, as the chip
+backend runs it, one crossbar matmul per core per tick for the whole
+batch) against the
 per-sample scalar loop of the test suite's oracle (``tests/chip_oracle.py``,
 one sample, one tick, one core at a time), verifies the two per-sample
 class-count tensors and the per-core spike counters are bit-identical,
@@ -12,7 +14,7 @@ and records the result to a JSON file for CI tracking.
 A second section times the **multi-copy** engine: ``--copies C`` sampled
 copies programmed side by side into one chip image and advanced as one
 ``C * samples`` lock-step batch against C single-copy passes (one
-``program_chip_multicopy([copy])`` + pass per copy), again enforcing
+single-copy chip programmed and run per copy), again enforcing
 bit-identical per-copy class counts and per-core spike counters.  Both
 records land in the same JSON file.
 
@@ -28,10 +30,9 @@ counters and recording ``grid_speedup``.
 A fourth section (``--board``) times the **multi-chip board** engine at a
 fixed copy count while the board grows: the same copies packed onto one
 chip, spread one per chip over a mesh, and split two-chips-per-copy with
-inter-chip link handoff (:func:`repro.mapping.pipeline.
-run_board_inference_multicopy`), each verified bit-identical to the
-single-chip multi-copy pass — the per-chip-count scaling record behind
-the ``board`` backend.
+inter-chip link handoff, each verified bit-identical to the one-chip
+multi-copy pass — the per-chip-count scaling record behind the ``board``
+backend.
 
 Usage::
 
@@ -55,13 +56,10 @@ from repro.encoding.stochastic import StochasticEncoder
 from repro.experiments.runner import ExperimentContext
 from repro.mapping.deploy import deploy_model
 from repro.mapping.duplication import deploy_with_copies
-from repro.mapping.pipeline import (
-    program_chip_multicopy,
-    run_chip_inference_multicopy,
-)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from chip_oracle import simulate
+from one_chip import program_one_chip
 
 
 def parse_args() -> argparse.Namespace:
@@ -148,7 +146,8 @@ def main() -> None:
     model = context.result("tea").model
     dataset = context.evaluation_dataset()
     deployed = deploy_model(model, rng=0)
-    chip, core_ids = program_chip_multicopy([deployed])
+    one = program_one_chip([deployed])
+    chip, core_ids = one.chip, one.core_ids
     core_order = [core_id for layer in core_ids for core_id in layer]
 
     encoder = StochasticEncoder(spikes_per_frame=args.spf)
@@ -163,9 +162,7 @@ def main() -> None:
     batch_times = []
     for _ in range(args.batch_repeats):
         start = time.perf_counter()
-        batch_counts = run_chip_inference_multicopy(
-            chip, [deployed], core_ids, volumes
-        )[0]
+        batch_counts = one.run(volumes)[0]
         batch_times.append(time.perf_counter() - start)
     batch_seconds = min(batch_times)
     batch_spikes = np.stack(
@@ -255,7 +252,7 @@ def main() -> None:
             if not point["class_counts_bit_identical"]:
                 raise SystemExit(
                     f"board counts at {point['chips']} chips diverged from "
-                    "the single-chip multi-copy pass"
+                    "the one-chip multi-copy pass"
                 )
 
 
@@ -271,26 +268,14 @@ def bench_multicopy(model, volumes: np.ndarray, copies: int, repeats: int) -> di
     def percopy_pass():
         counts, spikes = [], []
         for copy in deployment.copies:
-            chip, core_ids = program_chip_multicopy([copy])
-            counts.append(
-                run_chip_inference_multicopy(chip, [copy], core_ids, volumes)[0]
-            )
-            order = [cid for layer in core_ids for cid in layer]
-            spikes.append(
-                np.stack([chip.core(k).multicopy_spike_counts[0] for k in order])
-            )
+            one = program_one_chip([copy])
+            counts.append(one.run(volumes)[0])
+            spikes.append(one.spike_counters()[0])
         return np.stack(counts), np.stack(spikes)
 
     def multicopy_pass():
-        chip, core_ids = program_chip_multicopy(deployment.copies)
-        counts = run_chip_inference_multicopy(
-            chip, deployment.copies, core_ids, volumes
-        )
-        order = [cid for layer in core_ids for cid in layer]
-        spikes = np.stack(
-            [chip.core(k).multicopy_spike_counts for k in order], axis=1
-        )
-        return counts, spikes
+        one = program_one_chip(deployment.copies)
+        return one.run(volumes), one.spike_counters()
 
     def best_of(pass_fn):
         result, times = None, []
@@ -326,13 +311,13 @@ def bench_board(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
 
     The workload (``copies`` sampled copies, the full encoded volume) stays
     fixed while the board grows: all copies packed onto one chip (the 1x1
-    identity configuration), one copy per chip across a mesh, and every
-    copy split over two chips with link handoff at the layer boundary.
-    Every configuration's per-copy class counts are compared bit for bit
-    against the single-chip multi-copy pass, so the record tracks pure
-    board-engine overhead, not drift.
+    chip backend's one-chip board), one copy per chip across a mesh, and
+    every copy split over two chips with link handoff at the layer
+    boundary.  Every configuration's per-copy class counts are compared
+    bit for bit against the one-chip multi-copy pass, so the record tracks
+    pure board-engine overhead, not drift.
     """
-    from repro.board import BoardConfig, board_shape_for
+    from repro.board import BoardConfig, board_shape_for, one_chip_board
     from repro.mapping.pipeline import (
         program_board_multicopy,
         run_board_inference_multicopy,
@@ -342,18 +327,13 @@ def bench_board(model, volumes: np.ndarray, copies: int, repeats: int) -> dict:
     deployment = deploy_with_copies(model, copies=copies, rng=0)
     cores = deployment.corelet_network.core_count
 
-    chip, core_ids = program_chip_multicopy(deployment.copies)
+    one = program_one_chip(deployment.copies)
     start = time.perf_counter()
-    reference = run_chip_inference_multicopy(
-        chip, deployment.copies, core_ids, volumes
-    )
+    reference = one.run(volumes)
     single_chip_seconds = time.perf_counter() - start
 
-    rows = int(np.ceil(np.sqrt(cores))) or 1
-    cols = max(int(np.ceil(cores / rows)), 1)
-    packed = ChipConfig(grid_shape=(int(np.ceil(copies * cores / cols)), cols))
     configurations = [
-        ("packed", BoardConfig(grid_shape=(1, 1), chip_config=packed)),
+        ("packed", one_chip_board(cores, copies)),
         (
             "copy-per-chip",
             BoardConfig(
@@ -416,8 +396,8 @@ def bench_grid(
     """Time a (copies, spf, repeats) sweep: single-pass grid vs cell loop.
 
     The cell loop evaluates every cell of the grid independently — one
-    ``program_chip_multicopy`` + inference pass per (copy level, spf level,
-    repeat) cell, ``c`` copies programmed for copy level ``c`` — which is
+    chip programmed and run per (copy level, spf level, repeat) cell, ``c``
+    copies programmed for copy level ``c`` — which is
     what a sweep costs without the cumsum prefix reuse and repeat folding.
     The grid side programs all repeats' copies side by side and serves the
     whole grid from one folded pass per spf level, as
@@ -454,18 +434,10 @@ def bench_grid(
             for deployment, volumes in level:
                 cells = []
                 for c in range(1, copies + 1):
-                    prefix = deployment.copies[:c]
-                    chip, core_ids = program_chip_multicopy(prefix)
-                    cell = run_chip_inference_multicopy(
-                        chip, prefix, core_ids, volumes
-                    )
-                    cells.append(cell.sum(axis=0))
+                    one = program_one_chip(deployment.copies[:c])
+                    cells.append(one.run(volumes).sum(axis=0))
                     if c == copies:
-                        order = [k for layer in core_ids for k in layer]
-                        percopy = np.stack(
-                            [chip.core(k).multicopy_spike_counts for k in order],
-                            axis=1,
-                        )
+                        percopy = one.spike_counters()
                 level_cells.append((np.stack(cells), percopy))
             counts.append(np.stack([cells for cells, _ in level_cells]))
             counters = np.stack([percopy for _, percopy in level_cells])
@@ -477,14 +449,11 @@ def bench_grid(
         for level in prepared:
             flat = [copy for deployment, _ in level for copy in deployment.copies]
             volumes = np.stack([vol for _, vol in level])
-            chip, core_ids = program_chip_multicopy(flat)
-            raw = run_chip_inference_multicopy(chip, flat, core_ids, volumes)
+            one = program_one_chip(flat)
+            raw = one.run(volumes)
             raw = raw.reshape((repeats, copies) + raw.shape[1:])
             counts.append(np.cumsum(raw, axis=1))
-            order = [k for layer in core_ids for k in layer]
-            stacked = np.stack(
-                [chip.core(k).multicopy_spike_counts for k in order], axis=1
-            )
+            stacked = one.spike_counters()
             counters = stacked.reshape((repeats, copies) + stacked.shape[1:])
         return np.stack(counts, axis=2), counters
 

@@ -10,25 +10,29 @@ Four backends wrap the repo's evaluation engines behind one
   (:func:`repro.eval.engine.evaluate_scores_reference`): slow by design,
   never cached, the ground truth the vectorized backend must match bit for
   bit.
-* ``chip`` — the batched cycle-accurate TrueNorth simulator
-  (:func:`repro.mapping.pipeline.run_chip_inference_multicopy`): all
-  deployed copies of **all repeats** programmed side by side into one
-  multi-copy chip image, lock-step ticks over ``repeats x copies x batch``
-  rows, per-core spike counters, router-delay control, and
+* ``chip`` — the batched cycle-accurate TrueNorth simulator on one
+  chip: all deployed copies of **all repeats** programmed side by side
+  into one multi-copy chip image, lock-step ticks over ``repeats x copies
+  x batch`` rows, per-core spike counters, router-delay control, and
   stochastic-synapse sweeps on per-copy LFSR streams.  A deterministic
   ``(copies, spf, repeats)`` grid is served by **one** max-spf pass whose
   readout is snapshotted at every level's prefix; copy and repeat levels
   fall out of that pass via exact integer cumsums.  Stochastic-synapse
   grids keep one pass per spf level (optionally fanned over worker
   processes).
-* ``board`` — the multi-chip board mesh
-  (:func:`repro.mapping.pipeline.run_board_inference_multicopy`):
-  duplication sweeps whose core footprint overflows one chip spill onto a
-  mesh of chips, boundary-crossing spikes pay a configurable per-hop link
-  delay, and ``workers=N`` shards each pass over its placement segments
-  (one worker per simulated chip group).  Spf levels share one pass per
-  repeat on the chip backend's terms whenever no mesh link lengthens a
-  path.  On a 1x1 board with ideal links it is bit-identical to ``chip``.
+* ``board`` — the multi-chip board mesh: duplication sweeps whose core
+  footprint overflows one chip spill onto a mesh of chips,
+  boundary-crossing spikes pay a configurable per-hop link delay, and
+  ``workers=N`` shards each pass over its placement segments (one worker
+  per simulated chip group).  Repeats run as separate passes; spf levels
+  share one pass per repeat on the chip backend's terms whenever no mesh
+  link lengthens a path.
+
+Both cycle-accurate backends run one driver,
+:func:`repro.mapping.pipeline.run_board_inference_multicopy`, through one
+pass function: ``chip`` is a ``(1, 1)`` board
+(:func:`repro.board.topology.one_chip_board`) holding the copies of every
+repeat.
 
 All four consume the canonical randomness layout documented in
 :mod:`repro.api.protocol`, so a request produces the same sampled
@@ -40,7 +44,7 @@ accuracy derivation so result shapes cannot drift apart between backends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from repro.api.protocol import (
     ResultShapeError,
     UnsupportedRequestError,
 )
-from repro.board.topology import BoardConfig, board_shape_for
+from repro.board.topology import BoardConfig, board_shape_for, one_chip_board
 from repro.core.model import TrueNorthModel
 from repro.datasets.base import Dataset
 from repro.encoding.stochastic import StochasticEncoder
@@ -59,15 +63,14 @@ from repro.eval.engine import class_counts as class_neuron_counts
 from repro.eval.engine import evaluate_scores_reference
 from repro.eval.runner import SweepRunner, parallel_map
 from repro.mapping.corelet import CoreletNetwork, build_corelets
-from repro.mapping.duplication import DuplicatedDeployment, deploy_with_copies
+from repro.mapping.deploy import DeployedNetwork
+from repro.mapping.duplication import deploy_with_copies
 from repro.mapping.placement import BoardPlacement, place_on_board
 from repro.mapping.pipeline import (
     board_link_latency,
     board_spike_counters,
     program_board_multicopy,
-    program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_multicopy,
     stochastic_neuron_config,
 )
 from repro.truenorth.config import ChipConfig
@@ -130,7 +133,7 @@ def _check_capabilities(request: EvalRequest, caps: BackendCapabilities) -> None
 def _result_from_cumulative(
     request: EvalRequest,
     backend_name: str,
-    tensors: List[np.ndarray],
+    tensors: Sequence[np.ndarray],
     evaluation: Dataset,
     n_k: np.ndarray,
     cores_per_copy: int,
@@ -145,8 +148,8 @@ def _result_from_cumulative(
     class-mean scores against the labels) identical across backends.
 
     ``spf_axis_levels`` names the spf levels the tensors' second axis holds
-    when it is not the dense ``1..max_spf`` range (the chip backend reports
-    a single level with a singleton axis).
+    when it is not the dense ``1..max_spf`` range (the cycle-accurate
+    backends hold exactly the requested levels).
 
     Raises:
         ResultShapeError: when the copies axis of the cumulative tensors or
@@ -316,7 +319,7 @@ def _spf_groups(request: EvalRequest, shared_pass: bool) -> List[Tuple[int, ...]
     return [(spf,) for spf in request.spf_levels]
 
 
-def _evaluate_chip_levels(
+def _evaluate_board_pass(
     model: TrueNorthModel,
     features: np.ndarray,
     spf_levels: Tuple[int, ...],
@@ -326,89 +329,174 @@ def _evaluate_chip_levels(
     stochastic: bool,
     collect_counters: bool,
     router_delay: Optional[int],
+    board_config: BoardConfig,
+    placement: BoardPlacement,
+    segment_indices: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One pass of a chip grid: all repeats folded, ``spf_levels`` read out.
+    """One board pass: ``repeat_rngs`` folded, ``spf_levels`` read out.
 
     Module-level (not a method) so :func:`repro.eval.runner.parallel_map`
-    can pickle it into worker processes — the chip backend shards over its
-    passes, which are fully independent (each clones the pristine
-    per-repeat generators, see :func:`repro.utils.rng.clone_rng`).
+    can pickle it into worker processes.  Passes are fully independent:
+    each clones the pristine per-repeat generators
+    (:func:`repro.utils.rng.clone_rng`), and per repeat deploys
+    ``max_copies`` copies, encodes ``max(spf_levels)`` frames, then
+    (stochastic mode) draws the per-copy LFSR seeds.  The copies of all
+    repeats are programmed side by side (repeat-major) and the stacked
+    per-repeat volumes ride the driver's grouped-input form, so repeat
+    ``r``'s volume feeds exactly its block of ``max_copies`` copies.  Each
+    level is read out of the pass's snapshot at its prefix.
 
-    The pass encodes ``max(spf_levels)`` frames and reads every level out
-    of one readout snapshot per level (``readout_prefixes``).  Returns
-    ``(counts, counters)`` with ``counts`` shaped ``(len(spf_levels),
-    repeats, max_copies, batch, classes)`` (integer readout counts) and
-    ``counters`` — those of the whole pass, i.e. of the largest level —
-    shaped ``(repeats, max_copies, cores_per_copy, batch)`` or ``None``.
-    The ``repeats * max_copies`` copies of all repeats are programmed side
-    by side into **one** chip image and the stacked per-repeat input
-    volumes ride the chip's grouped-input form (repeat ``r``'s volume
-    feeds exactly its block of ``max_copies`` copy rows).
+    ``segment_indices`` restricts programming (and hence simulation) to a
+    subset of the placement's segments at their original board chip
+    indices; the returned counts/counters are zero outside the segment's
+    copies, so a fan-out over all segments merges by summation.
+
+    Returns ``(counts, counters)``: ``(len(spf_levels), repeats,
+    max_copies, batch, classes)`` integer readout counts and the whole
+    pass's ``(repeats, max_copies, cores_per_copy, batch)`` spike counters
+    (or ``None``).
     """
     encoder = StochasticEncoder(spikes_per_frame=max(spf_levels))
     neuron_config = stochastic_neuron_config(network) if stochastic else None
     repeats = len(repeat_rngs)
-    deployments: List[DuplicatedDeployment] = []
+    copies: List[DeployedNetwork] = []
     volumes: List[np.ndarray] = []
     copy_seeds: Optional[List[int]] = [] if stochastic else None
     for rng in repeat_rngs:
         level_rng = clone_rng(rng)
-        deployments.append(
+        copies.extend(
             deploy_with_copies(
                 model, copies=max_copies, rng=level_rng, corelet_network=network
-            )
+            ).copies
         )
         frames = encoder.encode(features, rng=level_rng)
         volumes.append(np.ascontiguousarray(frames.transpose(1, 0, 2)))
         if copy_seeds is not None:
             # Drawn after deployment and encoding so deterministic requests
-            # keep their exact historical streams.  Sampled *without* replacement — the LFSR seed space is only
-            # 16 bits, and two copies sharing a seed would replay
-            # byte-identical streams, silently collapsing the
-            # copies-averaging statistic the sweep measures.  (Repeats may
-            # collide with each other — they always could, being
-            # independent draws.)
+            # keep their exact historical streams.  Sampled *without*
+            # replacement — the LFSR seed space is only 16 bits, and two
+            # copies sharing a seed would replay byte-identical streams,
+            # silently collapsing the copies-averaging statistic the sweep
+            # measures.  (Repeats may collide with each other — they always
+            # could, being independent draws.)
             copy_seeds.extend(
                 int(seed)
                 for seed in level_rng.choice(
                     np.arange(1, 2**16), size=max_copies, replace=False
                 )
             )
-    batch = volumes[0].shape[0]
-    flat_copies = [copy for d in deployments for copy in d.copies]
-    chip, core_ids = program_chip_multicopy(
-        flat_copies, neuron_config=neuron_config, router_delay=router_delay
+    board, program = program_board_multicopy(
+        copies,
+        board_config,
+        neuron_config=neuron_config,
+        router_delay=router_delay,
+        placement=placement,
+        segment_indices=segment_indices,
     )
-    counts = run_chip_inference_multicopy(
-        chip,
-        flat_copies,
-        core_ids,
+    counts = run_board_inference_multicopy(
+        board,
+        copies,
+        program,
         np.stack(volumes),
         copy_seeds=copy_seeds,
         readout_prefixes=spf_levels,
     )
     counters = None
     if collect_counters:
-        flat_ids = [cid for layer in core_ids for cid in layer]
-        stacked = np.stack(
-            [chip.core(cid).multicopy_spike_counts for cid in flat_ids],
-            axis=1,
-        )  # (repeats * max_copies, cores_per_copy, batch)
-        counters = stacked.reshape((repeats, max_copies) + stacked.shape[1:])
+        counters = board_spike_counters(board, copies, program)
+        counters = counters.reshape((repeats, max_copies) + counters.shape[1:])
+    batch = volumes[0].shape[0]
     return counts.reshape(len(spf_levels), repeats, max_copies, batch, -1), counters
 
 
+def _evaluate_on_board(
+    backend: "ChipBackend | BoardBackend",
+    request: EvalRequest,
+    network: CoreletNetwork,
+    board_config: BoardConfig,
+    placement: BoardPlacement,
+    repeat_blocks: List[List[np.random.Generator]],
+    segment_lists: List[Optional[Tuple[int, ...]]],
+    shared_pass: bool,
+) -> EvalResult:
+    """Serve a cycle-accurate request by board passes and fold the counts.
+
+    One pass runs per (spf group, repeat block, segment list), fanned over
+    ``backend.workers`` processes.  Segments of one pass sum (each is zero
+    outside its own copies), repeat blocks join on the repeat axis, and
+    copy levels fall out as exact integer cumsums over the per-copy
+    readout counts.  Scores are the class-mean convention ``counts /
+    n_k``, so :meth:`EvalResult.class_counts` recovers the integer readout
+    counts exactly.  ``backend`` names the result, supplies ``workers``
+    and counts the request in its ``passes``.
+    """
+    evaluation = request.evaluation_dataset()
+    n_k = class_neuron_counts(network)
+    backend.passes += 1
+    tasks = [
+        (
+            request.model,
+            evaluation.features,
+            levels,
+            block,
+            network,
+            request.max_copies,
+            request.stochastic_synapses,
+            request.collect_spike_counters,
+            request.router_delay,
+            board_config,
+            placement,
+            segments,
+        )
+        for levels in _spf_groups(request, shared_pass)
+        for block in repeat_blocks
+        for segments in segment_lists
+    ]
+    shards = parallel_map(_evaluate_board_pass, tasks, backend.workers)
+    per_pass, per_group = len(segment_lists), len(repeat_blocks)
+    # Segment shards of one pass sum: each is zero outside its own copies.
+    passes = [
+        [
+            None if parts[0] is None else sum(parts)
+            for parts in zip(*shards[i : i + per_pass])
+        ]
+        for i in range(0, len(shards), per_pass)
+    ]
+    groups = [passes[i : i + per_group] for i in range(0, len(passes), per_group)]
+    # Repeat blocks join on the repeat axis and spf groups on the level
+    # axis: (levels, repeats, max_copies, batch, classes), levels ascending.
+    counts = np.concatenate(
+        [np.concatenate([c for c, _ in group], axis=1) for group in groups]
+    )
+    cumulative = np.cumsum(counts, axis=2).transpose(1, 2, 0, 3, 4)
+    spike_counters = None
+    if request.collect_spike_counters:
+        # The last group runs the largest level, whose counters a
+        # single-level request at max_spf reports.
+        spike_counters = np.concatenate([k for _, k in groups[-1]])
+    return _result_from_cumulative(
+        request,
+        backend.name,
+        cumulative.astype(float) / n_k,
+        evaluation,
+        n_k,
+        network.core_count,
+        spike_counters=spike_counters,
+        spf_axis_levels=request.spf_levels,
+    )
+
+
 class ChipBackend:
-    """The cycle-accurate path: batched TrueNorth chip simulation.
+    """The cycle-accurate path: batched TrueNorth simulation on one chip.
 
     The requested copies of **all repeats** are programmed side by side
-    into **one** multi-copy chip image per pass
-    (:func:`~repro.mapping.pipeline.program_chip_multicopy`: stacked
-    per-core crossbar tensors, shared route table, per-copy LFSR streams)
-    and the whole ``repeats x copies x batch`` volume advances in
-    lock-step ticks (:func:`~repro.mapping.pipeline.run_chip_inference_multicopy`,
-    grouped-input form: repeat ``r``'s encoded volume feeds exactly its
-    block of copy rows).
+    into **one** multi-copy chip image per pass (stacked per-core crossbar
+    tensors, shared route table, per-copy LFSR streams) and the whole
+    ``repeats x copies x batch`` volume advances in lock-step ticks
+    (grouped-input form: repeat ``r``'s encoded volume feeds exactly its
+    block of copy rows).  The chip is a ``(1, 1)`` board sized by
+    :func:`repro.board.topology.one_chip_board`, run by
+    :func:`~repro.mapping.pipeline.run_board_inference_multicopy`.
 
     ``stochastic_synapses`` requests deploy the corelets' Bernoulli
     probabilities onto the crossbars and re-sample every synapse per tick;
@@ -429,13 +517,6 @@ class ChipBackend:
     ``workers=N`` fans them over worker processes
     (:func:`repro.eval.runner.parallel_map`), bit-identical at any worker
     count; a deterministic request has a single pass and runs in-process.
-    Copy and repeat levels fall out of each pass: copy levels are
-    nested prefixes via an exact integer cumsum over the per-copy readout
-    counts, repeats are independent rows of the folded image.  Scores are
-    the class-mean convention ``counts / n_k``, so
-    :meth:`EvalResult.class_counts` recovers the chip's integer readout
-    counts exactly — the cross-backend invariant the property tests assert
-    against the vectorized backend.
 
     Args:
         workers: fan the per-spf-level passes of stochastic-synapse
@@ -445,7 +526,8 @@ class ChipBackend:
             ``max_copies x cores_per_network`` footprint overflows it are
             rejected with a pointer at the ``board`` backend — the budget
             is what makes ``backend='auto'`` route chip-overflowing
-            duplication sweeps to the board.
+            duplication sweeps to the board.  Folded repeats do not count
+            against it.
     """
 
     name = "chip"
@@ -455,6 +537,8 @@ class ChipBackend:
         workers: Optional[int] = None,
         cores_per_chip: Optional[int] = None,
     ) -> None:
+        if cores_per_chip is not None and cores_per_chip < 1:
+            raise ValueError(f"cores_per_chip must be >= 1, got {cores_per_chip}")
         self.workers = workers
         self.cores_per_chip = (
             int(cores_per_chip)
@@ -482,132 +566,19 @@ class ChipBackend:
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
         _check_capabilities(request, self.capabilities())
-        evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
-        n_k = class_neuron_counts(network)
-        self.passes += 1
-        repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
-        group_results = parallel_map(
-            _evaluate_chip_levels,
-            [
-                (
-                    request.model,
-                    evaluation.features,
-                    levels,
-                    repeat_rngs,
-                    network,
-                    request.max_copies,
-                    request.stochastic_synapses,
-                    request.collect_spike_counters,
-                    request.router_delay,
-                )
-                for levels in _spf_groups(request, shared_pass=True)
-            ],
-            self.workers,
-        )
-        # Per spf level, ascending: (repeats, max_copies, batch, classes).
-        level_counts = [level for counts, _ in group_results for level in counts]
-        tensors: List[np.ndarray] = []
-        for repeat in range(request.repeats):
-            stacked = np.stack(
-                [np.cumsum(counts[repeat], axis=0) for counts in level_counts],
-                axis=1,
-            )
-            # (max_copies, n_levels, batch, classes) ints -> class-mean
-            # score tensor; the integer counts stay exactly recoverable
-            # through EvalResult.class_counts().
-            tensors.append(stacked.astype(float) / n_k)
-        spike_counters = None
-        if request.collect_spike_counters:
-            # spf_levels is sorted ascending; the last pass runs the largest
-            # level, whose counters a single-level request at max_spf reports.
-            spike_counters = group_results[-1][1]
-        return _result_from_cumulative(
+        copies = request.repeats * request.max_copies
+        board_config = one_chip_board(network.core_count, copies)
+        return _evaluate_on_board(
+            self,
             request,
-            self.name,
-            tensors,
-            evaluation,
-            n_k,
-            network.core_count,
-            spike_counters=spike_counters,
-            spf_axis_levels=request.spf_levels,
+            network,
+            board_config,
+            place_on_board(network, copies, board_config),
+            [spawn_rngs(new_rng(request.seed), request.repeats)],
+            [None],
+            shared_pass=True,
         )
-
-
-def _evaluate_board_pass(
-    model: TrueNorthModel,
-    features: np.ndarray,
-    spf_levels: Tuple[int, ...],
-    repeat_rng: np.random.Generator,
-    network: CoreletNetwork,
-    max_copies: int,
-    stochastic: bool,
-    collect_counters: bool,
-    router_delay: Optional[int],
-    board_config: BoardConfig,
-    placement: BoardPlacement,
-    segment_indices: Optional[Tuple[int, ...]] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """One (spf levels, repeat[, placement segment]) pass over a board.
-
-    Module-level so :func:`repro.eval.runner.parallel_map` can pickle it
-    into worker processes.  The per-repeat randomness discipline is exactly
-    :func:`_evaluate_chip_levels`'s — clone the pristine repeat generator,
-    deploy ``max_copies`` copies, encode ``max(spf_levels)`` frames, then
-    (stochastic mode) draw the per-copy LFSR seeds — so a 1x1 board with
-    ideal links reproduces the chip backend bit for bit, and every worker
-    of a sharded pass replays identical streams.  Each level is read out
-    of the pass's snapshot at its prefix.
-
-    ``segment_indices`` restricts programming (and hence simulation) to a
-    subset of the deterministic placement's segments at their original
-    board chip indices; the returned counts/counters are zero outside the
-    segment's copies, so a fan-out over all segments merges by summation.
-
-    Returns ``(counts, counters)``: ``(len(spf_levels), max_copies, batch,
-    classes)`` integer readout counts and the whole pass's ``(max_copies,
-    cores_per_copy, batch)`` spike counters (or ``None``).
-    """
-    encoder = StochasticEncoder(spikes_per_frame=max(spf_levels))
-    neuron_config = stochastic_neuron_config(network) if stochastic else None
-    level_rng = clone_rng(repeat_rng)
-    deployment = deploy_with_copies(
-        model, copies=max_copies, rng=level_rng, corelet_network=network
-    )
-    frames = encoder.encode(features, rng=level_rng)
-    volume = np.ascontiguousarray(frames.transpose(1, 0, 2))
-    copy_seeds: Optional[List[int]] = None
-    if stochastic:
-        # Same post-deploy/encode draw (and no-replacement rule) as the
-        # chip backend — see _evaluate_chip_levels.
-        copy_seeds = [
-            int(seed)
-            for seed in level_rng.choice(
-                np.arange(1, 2**16), size=max_copies, replace=False
-            )
-        ]
-    board, program = program_board_multicopy(
-        deployment.copies,
-        board_config,
-        neuron_config=neuron_config,
-        router_delay=router_delay,
-        placement=placement,
-        segment_indices=segment_indices,
-    )
-    counts = run_board_inference_multicopy(
-        board,
-        deployment.copies,
-        program,
-        volume,
-        copy_seeds=copy_seeds,
-        readout_prefixes=spf_levels,
-    )
-    counters = (
-        board_spike_counters(board, deployment.copies, program)
-        if collect_counters
-        else None
-    )
-    return counts, counters
 
 
 class BoardBackend:
@@ -630,10 +601,9 @@ class BoardBackend:
     mesh link lengthens a path (:func:`~repro.mapping.pipeline.board_link_latency`
     is zero, i.e. no copy is split across a link with ``link_delay > 0``).
     Otherwise, and for stochastic synapses, every ``(spf level, repeat)``
-    is one pass.  On a 1x1 board with ideal links each pass is
-    bit-identical to the single-chip engine, which transfers the chip
-    backend's equivalence guarantees to the board (the property tests pin
-    it).
+    is one pass.  Both backends run the same pass function, so a board
+    whose chips hold whole copies reproduces the chip backend's counts
+    (the property tests pin it).
 
     ``workers=N`` shards every pass over its placement segments — one
     worker process per segment (per simulated chip group), each
@@ -703,11 +673,7 @@ class BoardBackend:
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
         _check_capabilities(request, self.capabilities())
-        evaluation = request.evaluation_dataset()
         network = build_corelets(request.model)
-        n_k = class_neuron_counts(network)
-        self.passes += 1
-        repeat_rngs = spawn_rngs(new_rng(request.seed), request.repeats)
         board_config = self._board_config(network, request.max_copies)
         if request.link_delay is not None:
             board_config = BoardConfig(
@@ -719,78 +685,18 @@ class BoardBackend:
         # parent reads the spf grouping off it, and every pass (and worker)
         # programs exactly it.
         placement = place_on_board(network, request.max_copies, board_config)
-        groups = _spf_groups(
+        segment_lists: List[Optional[Tuple[int, ...]]] = [None]
+        if self.workers is not None:
+            segment_lists = [(index,) for index in range(len(placement.segments))]
+        return _evaluate_on_board(
+            self,
             request,
+            network,
+            board_config,
+            placement,
+            [[rng] for rng in spawn_rngs(new_rng(request.seed), request.repeats)],
+            segment_lists,
             shared_pass=board_link_latency(placement, board_config.link_delay) == 0,
-        )
-        segment_lists: List[Optional[Tuple[int, ...]]]
-        if self.workers is None:
-            segment_lists = [None]
-        else:
-            segment_lists = [
-                (index,) for index in range(len(placement.segments))
-            ]
-        tasks = [
-            (
-                request.model,
-                evaluation.features,
-                levels,
-                repeat_rng,
-                network,
-                request.max_copies,
-                request.stochastic_synapses,
-                request.collect_spike_counters,
-                request.router_delay,
-                board_config,
-                placement,
-                segments,
-            )
-            for levels in groups
-            for repeat_rng in repeat_rngs
-            for segments in segment_lists
-        ]
-        shards = parallel_map(_evaluate_board_pass, tasks, self.workers)
-        # Regroup the flat (group, repeat, segment) results; segments of one
-        # pass merge by summation (each is zero outside its own copies).
-        per_pass = len(segment_lists)
-        tensors: List[List[np.ndarray]] = [[] for _ in range(request.repeats)]
-        counters_by_repeat: List[Optional[np.ndarray]] = [None] * request.repeats
-        for group_index in range(len(groups)):
-            for repeat in range(request.repeats):
-                base = (group_index * request.repeats + repeat) * per_pass
-                counts = shards[base][0].copy()
-                counters = shards[base][1]
-                for offset in range(1, per_pass):
-                    counts += shards[base + offset][0]
-                    if counters is not None:
-                        counters = counters + shards[base + offset][1]
-                tensors[repeat].extend(counts)
-                if request.collect_spike_counters:
-                    # Groups ascend; keep the last (largest-level) pass's
-                    # counters, matching the chip backend's convention.
-                    counters_by_repeat[repeat] = counters
-        cumulative = [
-            np.stack(
-                [np.cumsum(level_counts, axis=0) for level_counts in levels],
-                axis=1,
-            ).astype(float)
-            / n_k
-            for levels in tensors
-        ]
-        spike_counters = None
-        if request.collect_spike_counters:
-            spike_counters = np.stack(
-                [np.asarray(c) for c in counters_by_repeat]
-            )
-        return _result_from_cumulative(
-            request,
-            self.name,
-            cumulative,
-            evaluation,
-            n_k,
-            network.core_count,
-            spike_counters=spike_counters,
-            spf_axis_levels=request.spf_levels,
         )
 
 

@@ -179,7 +179,7 @@ class Session:
         backend itself rejects requests it cannot serve); in ``auto`` mode
         the request's capability needs pick the backend: board-only
         features (mesh link delay) or a duplication footprint overflowing
-        the chip backend's single-chip core budget route to the board,
+        the chip backend's one-chip core budget route to the board,
         other chip-only features to the cycle-accurate chip backend,
         everything else to the vectorized engine.
         """

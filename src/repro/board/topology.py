@@ -9,7 +9,7 @@ chip ``a`` toward chip ``b`` is delivered at
 distance is the Manhattan distance on the board grid (dimension-order
 routing over the mesh links).  ``link_delay=0`` collapses the board to a
 set of chips sharing one synchronous tick, which is what the bit-identity
-equivalence tests against the single-chip engine pin down.
+equivalence tests against the one-chip board pin down.
 """
 
 from __future__ import annotations
@@ -100,3 +100,27 @@ def board_shape_for(
     rows = math.ceil(math.sqrt(chips))
     cols = math.ceil(chips / rows)
     return rows, cols
+
+
+def one_chip_board(core_count: int, copies: int) -> BoardConfig:
+    """A ``(1, 1)`` board whose chip holds ``copies`` whole network copies.
+
+    The chip backend runs every pass on such a board.  A stacked multi-copy
+    image programs ``core_count`` cores whatever the copy count, and core
+    ``k`` sits at ``(k // cols, k % cols)``, so the column count alone fixes
+    the image's on-chip hop counts.  It stays at the square-ish
+    ``ceil(core_count / ceil(sqrt(core_count)))`` for every copy count.
+    Placement books ``core_count`` slots per copy, so the chip gets enough
+    rows for all ``copies * core_count`` of them and every copy stays whole.
+
+    Args:
+        core_count: cores one network copy occupies.
+        copies: copies stacked onto the chip.
+    """
+    if core_count <= 0:
+        raise ValueError(f"core_count must be positive, got {core_count}")
+    if copies <= 0:
+        raise ValueError(f"copies must be positive, got {copies}")
+    cols = math.ceil(core_count / math.ceil(math.sqrt(core_count)))
+    rows = math.ceil(copies * core_count / cols)
+    return BoardConfig(chip_config=ChipConfig(grid_shape=(rows, cols)))

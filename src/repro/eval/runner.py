@@ -149,10 +149,13 @@ def parallel_map(
     Which axis to shard over is the caller's choice of work unit:
     :class:`SweepRunner` fans out *repeats* (each repeat is one independent
     deployment + vectorized pass; every (copies, spf) cell is a nested
-    prefix of its repeat's tensor), while the chip backend — whose single
-    pass already folds all repeats into the stacked copy axis and, for
-    deterministic requests, reads every spf level out of one pass — fans
-    out the per-*spf-level* passes of stochastic-synapse grids.
+    prefix of its repeat's tensor).  Both cycle-accurate backends fan out
+    the passes of :func:`repro.api.backends._evaluate_board_pass`: the chip
+    backend — whose single pass already folds all repeats into the stacked
+    copy axis and, for deterministic requests, reads every spf level out
+    of one pass — the per-*spf-level* passes of stochastic-synapse grids,
+    and the board backend its per-repeat passes split by placement
+    segment.
     """
     items = list(argument_tuples)
     if workers is not None and workers > 1 and len(items) > 1:

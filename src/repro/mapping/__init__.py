@@ -26,9 +26,7 @@ from repro.mapping.pipeline import (
     board_link_latency,
     board_spike_counters,
     program_board_multicopy,
-    program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_multicopy,
 )
 
 __all__ = [
@@ -51,7 +49,5 @@ __all__ = [
     "board_link_latency",
     "board_spike_counters",
     "program_board_multicopy",
-    "program_chip_multicopy",
     "run_board_inference_multicopy",
-    "run_chip_inference_multicopy",
 ]

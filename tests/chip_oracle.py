@@ -32,7 +32,7 @@ one (spf, repeat, copy, sample) at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class OracleRun:
         core_spikes: ``(batch, cores)`` output spikes per core, cores in
             flat layer-major corelet order.
         routed: spikes carried between layers, summed over the batch.
+        routes: the same spikes per ``(source core, target core)`` pair of
+            flat layer-major core indices.
         ticks: ticks a lock-step run of the whole batch executes: every
             input tick, then drain ticks until the last routed spike lands.
     """
@@ -63,6 +65,7 @@ class OracleRun:
     core_spikes: np.ndarray
     routed: int
     ticks: int
+    routes: Dict[Tuple[int, int], int]
 
 
 def simulate(
@@ -80,6 +83,7 @@ def simulate(
     spikes = np.zeros((volumes.shape[0], cores), dtype=np.int64)
     routed = 0
     ticks = volumes.shape[1]
+    routes: Dict[Tuple[int, int], int] = {}
     for index, frames in enumerate(volumes):
         run = _simulate_sample(
             deployed, frames, neuron_config or NeuronConfig(), router_delay, core_seed
@@ -87,7 +91,9 @@ def simulate(
         counts[index], spikes[index] = run.class_counts, run.core_spikes
         routed += run.routed
         ticks = max(ticks, run.ticks)
-    return OracleRun(counts, spikes, routed, ticks)
+        for pair, carried in run.routes.items():
+            routes[pair] = routes.get(pair, 0) + carried
+    return OracleRun(counts, spikes, routed, ticks, routes)
 
 
 def simulate_request(request):
@@ -184,10 +190,15 @@ def _simulate_sample(
         np.full(corelet.neuron_count, cfg.reset_potential, dtype=np.int64)
         for _, corelet, _ in cores
     ]
-    # the channels each hidden layer feeds forward; spikes on any other
-    # channel have no route
+    # the core consuming each channel a hidden layer feeds forward; spikes
+    # on any other channel have no route
     consumed = [
-        {ch for corelet in network.corelets[layer + 1] for ch in corelet.input_channels}
+        {
+            ch: k
+            for k, (core_layer, corelet, _) in enumerate(cores)
+            if core_layer == layer + 1
+            for ch in corelet.input_channels
+        }
         for layer in range(depth - 1)
     ]
     # arrivals[layer][tick]: channel vector spiking onto layer's axons
@@ -195,6 +206,7 @@ def _simulate_sample(
     core_spikes = np.zeros(len(cores), dtype=np.int64)
     class_counts = np.zeros(network.num_classes, dtype=np.int64)
     routed = 0
+    routes: Dict[Tuple[int, int], int] = {}
     last_tick = frames.shape[0] - 1
     for tick in range(frames.shape[0] + (depth - 1) * delay):
         inputs = [
@@ -222,8 +234,10 @@ def _simulate_sample(
                         due, np.zeros(channels, dtype=np.int64)
                     )[channel] = 1
                     routed += 1
+                    pair = (k, consumed[layer][channel])
+                    routes[pair] = routes.get(pair, 0) + 1
                     last_tick = max(last_tick, due)
-    return OracleRun(class_counts, core_spikes, routed, last_tick + 1)
+    return OracleRun(class_counts, core_spikes, routed, last_tick + 1, routes)
 
 
 def _synapses(corelet, static, cfg: NeuronConfig, prng: LfsrPrng, uniform):

@@ -1,13 +1,13 @@
-"""Board engine and backend: bit-identical to the single-chip engine.
+"""Board engine and backend: bit-identical to the one-chip engine.
 
 The board subsystem's equivalence discipline, pinned at ``atol=0``
-against the single-chip engine, which is itself checked against the scalar
-oracle (``tests/chip_oracle.py``) in every reference run:
+against the one-chip board the chip backend runs (``tests/one_chip.py``),
+which is itself checked against the scalar oracle
+(``tests/chip_oracle.py``) in every reference run:
 
-* a 1x1 board with zero link delay replays ``run_chip_inference_multicopy``
-  bit for bit — class counts, per-core spike counters, router
-  delivered/hop counters, and (stochastic mode) the final per-copy LFSR
-  register states;
+* the one-chip board replays the oracle bit for bit — class counts,
+  per-core spike counters, router delivered/hop counters, and
+  (stochastic mode) the final per-copy LFSR register states;
 * spreading whole copies over several chips changes *where* cores live but
   not a single count, and carries zero link traffic;
 * splitting a copy across chips hands spikes off at chip edges through the
@@ -32,6 +32,8 @@ oracle (``tests/chip_oracle.py``) in every reference run:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -52,6 +54,8 @@ from repro.mapping.pipeline import (
 )
 from repro.truenorth.config import ChipConfig
 
+from chip_oracle import lfsr_state_after, simulate, simulate_request
+from one_chip import program_one_chip
 from test_chip_multicopy_equivalence import (
     _STOCHASTIC,
     assert_multicopy_matches_percopy,
@@ -63,23 +67,17 @@ _SETTINGS = settings(
 )
 
 
-def _identity_chip_config(core_count: int, copies: int) -> ChipConfig:
-    """A chip grid holding ``copies`` stacked copies with the *same column
-    count* as the single-chip engine's ceil-sqrt grid.
+def _image_columns(core_count: int) -> int:
+    """Columns of the chip a stacked image runs on: ceil-sqrt square-ish.
 
-    Core positions depend only on the column count (``core_id // cols,
-    core_id % cols``), so the first ``core_count`` cores sit exactly where
-    ``_make_chip`` puts them — which is what makes the router hop counters
-    comparable, not just the spike counts.
+    Core ``k`` sits at ``(k // cols, k % cols)``, so the column count alone
+    fixes every on-chip hop count, whatever the number of stacked copies.
     """
-    rows = int(np.ceil(np.sqrt(core_count))) or 1
-    cols = max(int(np.ceil(core_count / rows)), 1)
-    tall = int(np.ceil(copies * core_count / cols))
-    return ChipConfig(grid_shape=(tall, cols))
+    return int(np.ceil(core_count / np.ceil(np.sqrt(core_count))))
 
 
 def _chip_reference(copies, volumes, neuron_config, delay, seeds):
-    """The single-chip engine's run, checked against the scalar oracle."""
+    """The one-chip engine's run, checked against the scalar oracle."""
     chip, core_ids, counts = assert_multicopy_matches_percopy(
         copies, volumes, neuron_config, delay, seeds
     )
@@ -104,6 +102,7 @@ def _chip_reference(copies, volumes, neuron_config, delay, seeds):
 def test_board_1x1_bit_identical_to_single_chip(
     depth, stochastic, delay, grouped, seed
 ):
+    """The one-chip board the chip backend runs equals the scalar oracle."""
     rng = np.random.default_rng(seed)
     n_copies = 2
     copies = random_deployed_copies(
@@ -119,35 +118,41 @@ def test_board_1x1_bit_identical_to_single_chip(
     )
     volumes = (rng.random(shape) < 0.4).astype(np.int8)
 
-    chip, flat, ref_counts, ref_counters = _chip_reference(
-        copies, volumes, neuron_config, delay, copy_seeds
-    )
+    one = program_one_chip(copies, neuron_config=neuron_config, router_delay=delay)
+    counts = one.run(volumes, copy_seeds=copy_seeds)
+    runs = [
+        simulate(
+            copy,
+            volumes[index] if grouped else volumes,
+            neuron_config=neuron_config,
+            router_delay=delay,
+            core_seed=copy_seeds[index],
+        )
+        for index, copy in enumerate(copies)
+    ]
+    board, board_chip = one.board, one.chip
 
-    config = BoardConfig(
-        grid_shape=(1, 1),
-        chip_config=_identity_chip_config(network.core_count, n_copies),
-        link_delay=0,
-    )
-    board, program = program_board_multicopy(
-        copies, config, neuron_config=neuron_config, router_delay=delay
-    )
-    counts = run_board_inference_multicopy(
-        board, copies, program, volumes, copy_seeds=copy_seeds
-    )
-    board_chip = board.chips[0]
-
-    assert np.array_equal(ref_counts, counts)
+    assert board.chip_count == 1
+    assert np.array_equal(np.stack([run.class_counts for run in runs]), counts)
     assert np.array_equal(
-        ref_counters, board_spike_counters(board, copies, program)
+        np.stack([run.core_spikes.T for run in runs]), one.spike_counters()
     )
     assert board.fabric.spikes_carried == 0 and board.fabric.hop_count == 0
-    assert board_chip.router.delivered_count == chip.router.delivered_count
-    assert board_chip.router.hop_count == chip.router.hop_count
+    assert board_chip.router.delivered_count == sum(run.routed for run in runs)
+    cols = _image_columns(network.core_count)
+    assert board_chip.router.hop_count == sum(
+        carried * (abs(a // cols - b // cols) + abs(a % cols - b % cols))
+        for run in runs
+        for (a, b), carried in run.routes.items()
+    )
+    flat = [cid for layer in one.core_ids for cid in layer]
+    assert flat == list(range(network.core_count))
     if stochastic:
+        ticks = max(run.ticks for run in runs)
         for core_id in flat:
             assert [
                 prng.state for prng in board_chip.core(core_id).copy_prngs
-            ] == [prng.state for prng in chip.core(core_id).copy_prngs]
+            ] == [lfsr_state_after(seed + core_id + 1, ticks) for seed in copy_seeds]
 
 
 # ----------------------------------------------------------------------
@@ -488,3 +493,38 @@ def test_requests_differing_in_link_delay_do_not_coalesce(model_and_dataset):
     assert np.array_equal(
         a.result().class_counts(), b.result().class_counts()
     )
+
+
+def test_chip_folds_repeats_past_its_copy_budget(model_and_dataset):
+    """The budget counts one repeat's copies; the chip holds every repeat.
+
+    Three repeats of two copies need ``3 x 2 x cores`` placement slots
+    while the advertised budget is ``2 x cores``: the request is still
+    served, on one chip sized for all six copies, and equals the scalar
+    oracle, spike counters included.
+    """
+    model, dataset = model_and_dataset
+    cores = model.architecture.cores_per_network
+    backend = ChipBackend(cores_per_chip=2 * cores)
+    request = _request(
+        model, dataset, copy_levels=(1, 2), spf_levels=(1, 3), repeats=3,
+        max_samples=6, collect_spike_counters=True,
+    )
+    assert request.repeats * request.max_copies * cores > backend.cores_per_chip
+    result = backend.evaluate(request)
+    counts, counters = simulate_request(request)
+    assert result.backend == "chip"
+    np.testing.assert_array_equal(result.class_counts(), counts)
+    np.testing.assert_array_equal(result.spike_counters, counters)
+    assert counts.sum() > 0
+    # One copy more than the budget is refused.
+    with pytest.raises(UnsupportedRequestError, match="overflows"):
+        backend.evaluate(replace(request, copy_levels=(1, 3)))
+
+
+@pytest.mark.parametrize("cores_per_chip", [0, -4])
+def test_chip_backend_rejects_a_coreless_budget(cores_per_chip):
+    with pytest.raises(ValueError, match="cores_per_chip must be >= 1"):
+        ChipBackend(cores_per_chip=cores_per_chip)
+    with pytest.raises(ValueError, match="cores_per_chip must be >= 1"):
+        create_backend("chip", cores_per_chip=cores_per_chip)

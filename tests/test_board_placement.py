@@ -13,7 +13,11 @@ inter-chip hop statistics.  These tests pin:
 * the mesh-distance statistics (``transition_chip_distances``,
   ``mesh_statistics``) on placements whose worst paths are known by
   construction — these numbers feed the exact board drain bound, so they
-  are asserted here, not just computed.
+  are asserted here, not just computed;
+* ``board_link_latency``, which walks only split copies, against its
+  per-copy definition on random placements;
+* ``one_chip_board``, the chip backend's sizing rule: every folded copy
+  stays whole on one chip whose column count ignores the copy count.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.board import BoardConfig, board_shape_for
+from repro.board import BoardConfig, board_shape_for, one_chip_board
+from repro.mapping.pipeline import board_link_latency
 from repro.mapping.placement import place_on_board, place_on_chip
 from repro.truenorth.config import ChipConfig
 
@@ -295,3 +300,72 @@ def test_board_packing_invariants(depth, copies, capacity, seed, data):
     for copy in range(copies):
         if copy not in placement.split_copies():
             assert placement.transition_chip_distances(copy) == [0] * (depth - 1)
+
+
+# ----------------------------------------------------------------------
+# link latency of a placement, and the one-chip board
+# ----------------------------------------------------------------------
+def _per_copy_link_latency(placement, link_delay, copies=None):
+    """The definition: worst summed transition distance over the copies."""
+    if copies is None:
+        copies = [c for segment in placement.segments for c in segment.copies]
+    return max(
+        (
+            link_delay * sum(placement.transition_chip_distances(copy))
+            for copy in copies
+        ),
+        default=0,
+    )
+
+
+@given(
+    depth=st.integers(min_value=1, max_value=3),
+    copies=st.integers(min_value=1, max_value=5),
+    capacity=st.integers(min_value=1, max_value=8),
+    link_delay=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10),
+    data=st.data(),
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_board_link_latency_matches_per_copy_definition(
+    depth, copies, capacity, link_delay, seed, data
+):
+    layer_sizes = {1: (3,), 2: (3, 2), 3: (2, 3, 1)}[depth]
+    network = _network(depth=depth, cores_per_layer=layer_sizes, seed=seed)
+    rows, cols = board_shape_for(network.core_count, copies, _chip(capacity))
+    # Wider or taller boards spread a split copy's shards over more rows.
+    rows += data.draw(st.integers(0, 2), label="extra rows")
+    cols += data.draw(st.integers(0, 2), label="extra cols")
+    config = BoardConfig(
+        grid_shape=(rows, cols), chip_config=_chip(capacity), link_delay=link_delay
+    )
+    placement = place_on_board(network, copies=copies, board_config=config)
+    subset = data.draw(
+        st.none() | st.lists(st.integers(0, copies - 1), unique=True),
+        label="copies",
+    )
+    assert board_link_latency(placement, link_delay, subset) == (
+        _per_copy_link_latency(placement, link_delay, subset)
+    )
+
+
+@given(
+    core_count=st.integers(min_value=1, max_value=60),
+    copies=st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_chip_board_holds_every_copy_whole(core_count, copies):
+    config = one_chip_board(core_count, copies)
+    assert config.grid_shape == (1, 1) and config.link_delay == 0
+    rows, cols = config.chip_config.grid_shape
+    # The square-ish column count of one copy, whatever the copy count.
+    assert cols == one_chip_board(core_count, 1).chip_config.grid_shape[1]
+    assert cols == int(np.ceil(core_count / np.ceil(np.sqrt(core_count))))
+    # Just enough rows for copies * core_count placement slots.
+    assert (rows - 1) * cols < copies * core_count <= rows * cols
+    network = _network(depth=1, cores_per_layer=(core_count,))
+    placement = place_on_board(network, copies=copies, board_config=config)
+    assert [s.copies for s in placement.segments] == [tuple(range(copies))]
+    assert placement.split_copies() == ()

@@ -1,7 +1,8 @@
 """Batched chip engine vs the per-sample scalar oracle: bit-identical.
 
-The chip engine (``program_chip_multicopy`` + ``run_chip_inference_multicopy``)
-advances B samples of one network copy in lock-step.  These tests build
+The chip engine (a one-chip board run by ``run_board_inference_multicopy``,
+see ``tests/one_chip.py``) advances B samples of one network copy in
+lock-step.  These tests build
 random corelet networks — varying depth, router delay, history-free vs
 stateful LIF neurons, shuffled inter-layer wiring, and readout sizes with
 ``output_dim % num_classes != 0`` — and assert that the per-sample class
@@ -16,15 +17,12 @@ import pytest
 
 from repro.mapping.corelet import Corelet, CoreletNetwork
 from repro.mapping.deploy import DeployedNetwork
-from repro.mapping.pipeline import (
-    program_chip_multicopy,
-    run_chip_inference_multicopy,
-)
 from repro.truenorth.config import CoreConfig, NeuronConfig
 from repro.truenorth.core import NeurosynapticCore
 from repro.truenorth.neuron import NeuronArray
 
 from chip_oracle import simulate
+from one_chip import program_one_chip
 
 
 def random_deployed_network(
@@ -101,11 +99,12 @@ def random_deployed_network(
 
 def assert_batch_matches_scalar(deployed, volumes, neuron_config=None, delay=1):
     """Run the batch engine and the per-sample oracle; compare everything."""
-    chip, core_ids = program_chip_multicopy(
+    one = program_one_chip(
         [deployed], neuron_config=neuron_config, router_delay=delay
     )
-    batch_counts = run_chip_inference_multicopy(chip, [deployed], core_ids, volumes)[0]
-    core_order = [core_id for layer in core_ids for core_id in layer]
+    batch_counts = one.run(volumes)[0]
+    chip = one.chip
+    core_order = [core_id for layer in one.core_ids for core_id in layer]
     batch_spikes = np.stack(
         [chip.core(c).multicopy_spike_counts[0] for c in core_order], axis=1
     )
@@ -231,7 +230,7 @@ def test_chip_mode_guards():
         axons_per_first_core=8,
         num_classes=3,
     )
-    chip, _ = program_chip_multicopy([deployed])
+    chip = program_one_chip([deployed]).chip
     with pytest.raises(RuntimeError, match="begin_batch"):
         chip.step_batch()
     chip.begin_batch(3)

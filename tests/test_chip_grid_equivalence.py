@@ -3,9 +3,10 @@
 PR 7 folds the *repeats* axis into the stacked-copy axis: the chip backend
 programs ``repeats * max_copies`` copies side by side (each repeat block
 with its own deployment and per-copy LFSR streams) and feeds each repeat
-its own encoded volume through the chip's grouped-input form.  These
-property tests pin the folded pass against the per-(spf, repeat) loops it
-replaced, at ``atol=0``:
+its own encoded volume through the driver's grouped-input form.  The chip
+is a one-chip board (``tests/one_chip.py``), as the chip backend runs it.
+These property tests pin the folded pass against the per-(spf, repeat)
+loops it replaced, at ``atol=0``:
 
 * pipeline level — one repeat-folded multi-copy image vs one multi-copy
   pass per repeat: per-copy class counts, per-core spike counters, summed
@@ -46,13 +47,12 @@ from repro.board import BoardConfig
 from repro.experiments.runner import ExperimentContext
 from repro.mapping.pipeline import (
     program_board_multicopy,
-    program_chip_multicopy,
     run_board_inference_multicopy,
-    run_chip_inference_multicopy,
 )
 from repro.truenorth.config import ChipConfig, NeuronConfig
 
 from chip_oracle import simulate, simulate_request
+from one_chip import program_one_chip
 from test_chip_batch_equivalence import random_deployed_network
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
 
@@ -84,19 +84,17 @@ def run_per_repeat_loop(groups, volumes, neuron_config, delay, seed_groups):
     counts, spikes, states = [], [], []
     delivered = hops = 0
     for index, group in enumerate(groups):
-        chip, core_ids = program_chip_multicopy(
+        one = program_one_chip(
             group, neuron_config=neuron_config, router_delay=delay
         )
         counts.append(
-            run_chip_inference_multicopy(
-                chip,
-                group,
-                core_ids,
+            one.run(
                 volumes[index],
                 copy_seeds=None if seed_groups is None else seed_groups[index],
             )
         )
-        order = [cid for layer in core_ids for cid in layer]
+        chip = one.chip
+        order = [cid for layer in one.core_ids for cid in layer]
         spikes.append(
             np.stack([chip.core(k).multicopy_spike_counts for k in order], axis=1)
         )
@@ -126,18 +124,15 @@ def assert_folded_matches_per_repeat(
     )
     repeats, per_repeat = len(groups), len(groups[0])
     flat = [copy for group in groups for copy in group]
-    chip, core_ids = program_chip_multicopy(
-        flat, neuron_config=neuron_config, router_delay=delay
-    )
+    one = program_one_chip(flat, neuron_config=neuron_config, router_delay=delay)
     flat_seeds = (
         None
         if seed_groups is None
         else [seed for group in seed_groups for seed in group]
     )
-    folded = run_chip_inference_multicopy(
-        chip, flat, core_ids, np.stack(volumes), copy_seeds=flat_seeds
-    )
-    order = [cid for layer in core_ids for cid in layer]
+    folded = one.run(np.stack(volumes), copy_seeds=flat_seeds)
+    chip = one.chip
+    order = [cid for layer in one.core_ids for cid in layer]
     folded_spikes = np.stack(
         [chip.core(k).multicopy_spike_counts for k in order], axis=1
     )
@@ -245,18 +240,15 @@ def test_midrun_reset_replays_folded_grid():
     volumes = np.stack(
         [(rng.random((4, 4, input_dim)) < 0.5).astype(np.int8) for _ in range(2)]
     )
-    chip, core_ids = program_chip_multicopy(flat, neuron_config=_STOCHASTIC)
+    one = program_one_chip(flat, neuron_config=_STOCHASTIC)
+    chip = one.chip
     seeds = [3, 999, 31337, 77]
-    first = run_chip_inference_multicopy(
-        chip, flat, core_ids, volumes, copy_seeds=seeds
-    )
+    first = one.run(volumes, copy_seeds=seeds)
     assert first.sum() > 0
     chip.begin_batch(4 * volumes.shape[1], copies=4, copy_seeds=seeds)
     chip.step_batch()
     chip.reset()
-    again = run_chip_inference_multicopy(
-        chip, flat, core_ids, volumes, copy_seeds=seeds
-    )
+    again = one.run(volumes, copy_seeds=seeds)
     assert np.array_equal(first, again)
 
 
@@ -264,16 +256,12 @@ def test_grouped_volume_guards():
     rng = np.random.default_rng(5)
     groups = _repeat_groups(rng, 2, 2, 1)
     flat = [copy for group in groups for copy in group]
-    chip, core_ids = program_chip_multicopy(flat)
+    one = program_one_chip(flat)
     input_dim = flat[0].corelet_network.input_dim
     with pytest.raises(ValueError, match="does not divide the copy count"):
-        run_chip_inference_multicopy(
-            chip, flat, core_ids, np.zeros((3, 2, 2, input_dim), dtype=np.int8)
-        )
+        one.run(np.zeros((3, 2, 2, input_dim), dtype=np.int8))
     with pytest.raises(ValueError, match="expected volumes"):
-        run_chip_inference_multicopy(
-            chip, flat, core_ids, np.zeros((2, 2, input_dim - 1), dtype=np.int8)
-        )
+        one.run(np.zeros((2, 2, input_dim - 1), dtype=np.int8))
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +269,10 @@ def test_grouped_volume_guards():
 # ----------------------------------------------------------------------
 def _run(copies, volumes, neuron_config, delay, seeds, prefixes=None):
     """One fresh chip pass: (counts, spike counters, LFSR states, routed)."""
-    chip, core_ids = program_chip_multicopy(
-        copies, neuron_config=neuron_config, router_delay=delay
-    )
-    counts = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=seeds, readout_prefixes=prefixes
-    )
-    order = [cid for layer in core_ids for cid in layer]
+    one = program_one_chip(copies, neuron_config=neuron_config, router_delay=delay)
+    counts = one.run(volumes, copy_seeds=seeds, readout_prefixes=prefixes)
+    chip = one.chip
+    order = [cid for layer in one.core_ids for cid in layer]
     spikes = np.stack([chip.core(k).multicopy_spike_counts for k in order], axis=1)
     prngs = chip.core(order[0]).copy_prngs
     states = None
@@ -392,15 +377,11 @@ def test_prefix_readout_guards():
     rng = np.random.default_rng(3)
     copies = random_deployed_copies(rng, 1, 2)
     volumes = np.zeros((2, 3, copies[0].corelet_network.input_dim), dtype=np.int8)
-    chip, core_ids = program_chip_multicopy(copies)
+    one = program_one_chip(copies)
     for prefixes in ([], [0], [4]):
         with pytest.raises(ValueError, match="readout prefixes"):
-            run_chip_inference_multicopy(
-                chip, copies, core_ids, volumes, readout_prefixes=prefixes
-            )
-    empty = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes[:0], readout_prefixes=[1, 3]
-    )
+            one.run(volumes, readout_prefixes=prefixes)
+    empty = one.run(volumes[:0], readout_prefixes=[1, 3])
     assert empty.shape == (2, 1, 0, 4)
 
 
@@ -459,7 +440,8 @@ def test_percore_fit_trims_heterogeneous_corelets():
         num_classes=4,
         fractional_probabilities=True,
     )
-    chip, core_ids = program_chip_multicopy([deployed])
+    one = program_one_chip([deployed])
+    chip, core_ids = one.chip, one.core_ids
     shapes = set()
     for layer_ids, layer in zip(core_ids, deployed.corelet_network.corelets):
         for core_id, corelet in zip(layer_ids, layer):
@@ -478,12 +460,10 @@ def test_percore_fit_trims_heterogeneous_corelets():
         for layer in deployed.corelet_network.corelets
         for c in layer
     )
-    stochastic_chip, stochastic_ids = program_chip_multicopy(
-        [deployed], neuron_config=_STOCHASTIC
-    )
-    for layer_ids in stochastic_ids:
+    stochastic = program_one_chip([deployed], neuron_config=_STOCHASTIC)
+    for layer_ids in stochastic.core_ids:
         for core_id in layer_ids:
-            config = stochastic_chip.core(core_id).config
+            config = stochastic.chip.core(core_id).config
             assert (config.axons, config.neurons) == (
                 uniform_axons,
                 uniform_neurons,
@@ -579,11 +559,7 @@ def test_backend_grid_bit_identical_with_worker_fanout():
 def calls(monkeypatch):
     """Count the backends' calls into the engines and the deployer."""
     counts = Counter()
-    for name in (
-        "run_chip_inference_multicopy",
-        "run_board_inference_multicopy",
-        "deploy_with_copies",
-    ):
+    for name in ("run_board_inference_multicopy", "deploy_with_copies"):
         original = getattr(backends, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -636,7 +612,7 @@ def test_deterministic_chip_grid_is_one_pass(calls, multilayer, router_delay):
         multilayer, spf_levels=(1, 2, 4, 8), router_delay=router_delay
     )
     ChipBackend().evaluate(request)
-    assert calls["run_chip_inference_multicopy"] == 1
+    assert calls["run_board_inference_multicopy"] == 1
     assert calls["deploy_with_copies"] == request.repeats
     _assert_grid_matches_single_levels(ChipBackend(), request)
 
@@ -646,7 +622,7 @@ def test_stochastic_chip_grid_keeps_one_pass_per_level(calls, multilayer):
         multilayer, spf_levels=(1, 2, 4), stochastic_synapses=True
     )
     ChipBackend().evaluate(request)
-    assert calls["run_chip_inference_multicopy"] == len(request.spf_levels)
+    assert calls["run_board_inference_multicopy"] == len(request.spf_levels)
     _assert_grid_matches_single_levels(ChipBackend(), request)
 
 

@@ -2,8 +2,9 @@
 
 The multi-copy engine programs C sampled copies side by side into one chip
 image (stacked per-core crossbar tensors, shared route table, per-copy LFSR
-streams) and advances all ``C * batch`` rows in lock-step
-(:func:`repro.mapping.pipeline.run_chip_inference_multicopy`).  These
+streams) and advances all ``C * batch`` rows in lock-step (a one-chip
+board run by :func:`repro.mapping.pipeline.run_board_inference_multicopy`,
+see ``tests/one_chip.py``).  These
 hypothesis-driven property tests pin it against the scalar oracle
 (``tests/chip_oracle.py``) run on every (copy, sample) alone, at
 ``atol=0`` over copies in {1, 2, 5}, router delays > 1, history-free and
@@ -22,14 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.deploy import DeployedNetwork
-from repro.mapping.pipeline import (
-    program_chip_multicopy,
-    run_chip_inference_multicopy,
-)
 from repro.truenorth.config import NeuronConfig
 from repro.truenorth.crossbar import SynapticCrossbar
 
 from chip_oracle import lfsr_state_after, simulate
+from one_chip import program_one_chip
 from test_chip_batch_equivalence import random_deployed_network
 
 #: cores-per-layer shape exercised at each depth (small on purpose: the
@@ -84,12 +82,11 @@ def assert_multicopy_matches_percopy(
     ticks, input_dim)``: block ``g`` feeds copies ``[g * C/groups, (g+1) *
     C/groups)``.
     """
-    chip, core_ids = program_chip_multicopy(
+    one = program_one_chip(
         copies, neuron_config=neuron_config, router_delay=delay
     )
-    multi = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=copy_seeds
-    )
+    multi = one.run(volumes, copy_seeds=copy_seeds)
+    chip, core_ids = one.chip, one.core_ids
     order = [cid for layer in core_ids for cid in layer]
     multi_spikes = np.stack(
         [chip.core(k).multicopy_spike_counts for k in order], axis=1
@@ -202,17 +199,13 @@ def test_distinct_copy_seeds_give_distinct_realizations():
     volumes = (
         rng.random((6, 4, copies[0].corelet_network.input_dim)) < 0.5
     ).astype(np.int8)
-    chip, core_ids = program_chip_multicopy(copies, neuron_config=_STOCHASTIC)
-    counts = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=[7, 4242]
-    )
+    one = program_one_chip(copies, neuron_config=_STOCHASTIC)
+    counts = one.run(volumes, copy_seeds=[7, 4242])
     assert counts.sum() > 0
     assert not np.array_equal(counts[0], counts[1])
     # Identical seeds collapse the copies onto one stream (shared
     # stochastic programming: only the PRNG distinguishes them).
-    same = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=[7, 7]
-    )
+    same = one.run(volumes, copy_seeds=[7, 7])
     assert np.array_equal(same[0], same[1])
 
 
@@ -269,11 +262,13 @@ def test_stochastic_multicopy_rejects_per_copy_probabilities():
         input_dim=net_a.input_dim,
     )
     b = DeployedNetwork(corelet_network=net_b, sampled_weights=a.sampled_weights)
-    program_chip_multicopy([a, b])
+    program_one_chip([a, b])
     with pytest.raises(ValueError, match="stochastic multi-copy image"):
-        program_chip_multicopy([a, b], neuron_config=_STOCHASTIC)
-    chip, core_ids = program_chip_multicopy([a, a], neuron_config=_STOCHASTIC)
-    assert chip.occupied_core_ids() == [cid for layer in core_ids for cid in layer]
+        program_one_chip([a, b], neuron_config=_STOCHASTIC)
+    one = program_one_chip([a, a], neuron_config=_STOCHASTIC)
+    assert one.chip.occupied_core_ids() == [
+        cid for layer in one.core_ids for cid in layer
+    ]
 
 
 def test_midrun_reset_preserves_routes_and_replays():
@@ -283,20 +278,17 @@ def test_midrun_reset_preserves_routes_and_replays():
     volumes = (
         rng.random((5, 4, copies[0].corelet_network.input_dim)) < 0.5
     ).astype(np.int8)
-    chip, core_ids = program_chip_multicopy(copies, neuron_config=_STOCHASTIC)
+    one = program_one_chip(copies, neuron_config=_STOCHASTIC)
+    chip = one.chip
     seeds = [3, 999, 31337]
-    first = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=seeds
-    )
+    first = one.run(volumes, copy_seeds=seeds)
     assert first.sum() > 0
     # Interrupt a fresh run mid-flight, then reset: routes must survive.
     chip.begin_batch(3 * volumes.shape[0], copies=3, copy_seeds=seeds)
     chip.step_batch()
     chip.reset()
     assert chip.batch_size is None and chip.copies == 1
-    again = run_chip_inference_multicopy(
-        chip, copies, core_ids, volumes, copy_seeds=seeds
-    )
+    again = one.run(volumes, copy_seeds=seeds)
     assert np.array_equal(first, again)
 
 
@@ -306,7 +298,7 @@ def test_midrun_reset_preserves_routes_and_replays():
 def test_begin_batch_copy_guards():
     rng = np.random.default_rng(2)
     copies = random_deployed_copies(rng, 2, 1)
-    chip, _ = program_chip_multicopy(copies)
+    chip = program_one_chip(copies).chip
     with pytest.raises(ValueError, match="not divisible"):
         chip.begin_batch(5, copies=2)
     with pytest.raises(ValueError, match="programmed for 2 copies"):
@@ -335,23 +327,15 @@ def test_crossbar_copy_stack_guards():
 def test_multicopy_driver_shape_guards():
     rng = np.random.default_rng(4)
     copies = random_deployed_copies(rng, 2, 1)
-    chip, core_ids = program_chip_multicopy(copies)
+    one = program_one_chip(copies)
     input_dim = copies[0].corelet_network.input_dim
     with pytest.raises(ValueError, match="expected volumes"):
-        run_chip_inference_multicopy(
-            chip, copies, core_ids, np.zeros((3, input_dim), dtype=np.int8)
-        )
+        one.run(np.zeros((3, input_dim), dtype=np.int8))
     with pytest.raises(ValueError, match="2 copy seeds"):
-        run_chip_inference_multicopy(
-            chip,
-            copies,
-            core_ids,
-            np.zeros((2, 2, input_dim), dtype=np.int8),
-            copy_seeds=[1, 2, 3],
+        one.run(
+            np.zeros((2, 2, input_dim), dtype=np.int8), copy_seeds=[1, 2, 3]
         )
-    empty = run_chip_inference_multicopy(
-        chip, copies, core_ids, np.zeros((0, 2, input_dim), dtype=np.int8)
-    )
+    empty = one.run(np.zeros((0, 2, input_dim), dtype=np.int8))
     assert empty.shape == (2, 0, copies[0].corelet_network.num_classes)
 
 
@@ -367,4 +351,4 @@ def test_mismatched_topologies_rejected():
         num_classes=4,
     )
     with pytest.raises(ValueError, match="different corelet topology"):
-        program_chip_multicopy([a, b])
+        program_one_chip([a, b])

@@ -39,12 +39,9 @@ from repro.eval.engine import (
     class_merge_weights,
     forward_spikes_reference,
 )
-from repro.mapping.pipeline import (
-    program_chip_multicopy,
-    run_chip_inference_multicopy,
-)
 
 from chip_oracle import lfsr_state_after, simulate
+from one_chip import program_one_chip
 from test_chip_multicopy_equivalence import _STOCHASTIC, random_deployed_copies
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "chip_multicopy_goldens.npz"
@@ -71,15 +68,10 @@ def _scenario():
 
 def _chip_record(copies, volumes, stochastic: bool):
     neuron_config = _STOCHASTIC if stochastic else None
-    chip, core_ids = program_chip_multicopy(copies, neuron_config=neuron_config)
-    counts = run_chip_inference_multicopy(
-        chip,
-        copies,
-        core_ids,
-        volumes,
-        copy_seeds=_COPY_SEEDS if stochastic else None,
-    )
-    order = [cid for layer in core_ids for cid in layer]
+    one = program_one_chip(copies, neuron_config=neuron_config)
+    counts = one.run(volumes, copy_seeds=_COPY_SEEDS if stochastic else None)
+    chip = one.chip
+    order = [cid for layer in one.core_ids for cid in layer]
     counters = np.stack(
         [chip.core(k).multicopy_spike_counts for k in order], axis=1
     )

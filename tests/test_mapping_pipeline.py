@@ -1,4 +1,7 @@
-"""Tests for chip programming: the chip simulator must agree with the fast evaluator."""
+"""Tests for chip programming: the chip simulator must agree with the fast evaluator.
+
+Each chip is a one-chip board (``tests/one_chip.py``), as the chip backend runs it.
+"""
 
 import numpy as np
 import pytest
@@ -7,20 +10,18 @@ from repro.core.tea import TeaLearning
 from repro.encoding.stochastic import StochasticEncoder
 from repro.mapping.corelet import Corelet, CoreletNetwork
 from repro.mapping.deploy import DeployedNetwork, deploy_model
-from repro.mapping.pipeline import (
-    program_chip_multicopy,
-    run_chip_inference_multicopy,
-)
+
+from one_chip import program_one_chip
 
 
 def single_copy_chip(deployed, **kwargs):
-    """A chip holding the single copy ``deployed``."""
-    return program_chip_multicopy([deployed], **kwargs)
+    """A one-chip board holding the single copy ``deployed``."""
+    return program_one_chip([deployed], **kwargs)
 
 
-def run_single_copy(chip, deployed, core_ids, volumes):
+def run_single_copy(one, volumes):
     """Per-sample class counts ``(batch, classes)`` of a single-copy chip."""
-    return run_chip_inference_multicopy(chip, [deployed], core_ids, volumes)[0]
+    return one.run(volumes)[0]
 
 
 def _two_layer_network(rng: np.random.Generator) -> DeployedNetwork:
@@ -61,23 +62,24 @@ def deployed_copy(small_architecture, small_dataset):
 
 
 def test_program_chip_allocates_one_core_per_corelet(deployed_copy):
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
+    chip = one.chip
     assert chip.allocated_cores == deployed_copy.core_count
-    flat_ids = [core_id for layer in core_ids for core_id in layer]
+    flat_ids = [core_id for layer in one.core_ids for core_id in layer]
     assert len(set(flat_ids)) == len(flat_ids)
     assert chip.input_channels() == ["pixels"]
     assert chip.output_channels() == ["classes"]
 
 
 def test_chip_matches_vectorized_evaluator_spike_for_spike(deployed_copy):
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
     rng = np.random.default_rng(3)
     network = deployed_copy.corelet_network
     encoder = StochasticEncoder(spikes_per_frame=3)
     values = rng.random((1, network.input_dim))
     frames = encoder.encode(values, rng=rng)[:, 0, :]  # (ticks, input_dim)
 
-    chip_counts = run_single_copy(chip, deployed_copy, core_ids, frames[None])[0]
+    chip_counts = run_single_copy(one, frames[None])[0]
 
     # Fast evaluator: raw per-class spike sums accumulated frame by frame
     # (the chip reports raw sums; the class-mean convention of class_scores
@@ -102,21 +104,18 @@ def test_chip_matches_vectorized_evaluator_spike_for_spike(deployed_copy):
 
 def test_run_chip_inference_validates_shape(deployed_copy):
     """A wrong feature width is rejected before any tick runs."""
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
     with pytest.raises(ValueError, match="expected volumes"):
-        run_single_copy(chip, deployed_copy, core_ids, np.zeros((3, 2, 5)))
-    assert chip.tick_count == 0
+        run_single_copy(one, np.zeros((3, 2, 5)))
+    assert one.chip.tick_count == 0
 
 
 def test_run_chip_inference_batch_validates_shape(deployed_copy):
     """A bare (ticks, input_dim) frame matrix without a batch axis is rejected."""
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
     with pytest.raises(ValueError, match="expected volumes"):
         run_single_copy(
-            chip,
-            deployed_copy,
-            core_ids,
-            np.zeros((4, deployed_copy.corelet_network.input_dim)),
+            one, np.zeros((4, deployed_copy.corelet_network.input_dim))
         )
 
 
@@ -128,7 +127,7 @@ def test_chip_reset_preserves_routing():
     reset (all hidden-layer spikes were dropped on the floor).
     """
     deployed = _two_layer_network(np.random.default_rng(0))
-    chip, core_ids = single_copy_chip(deployed)
+    chip = single_copy_chip(deployed).chip
     routes_before = chip.router.route_count
     assert routes_before > 0
     chip.reset()
@@ -147,18 +146,16 @@ def test_drain_is_exact_for_layer_depth_and_router_delay():
         np.int8
     )
     for delay in (1, 2, 4):
-        chip, core_ids = single_copy_chip(deployed, router_delay=delay)
-        run_single_copy(chip, deployed, core_ids, frames[None])
-        assert chip.tick_count == frames.shape[0] + (2 - 1) * delay
-        assert not chip.router.has_pending()
+        one = single_copy_chip(deployed, router_delay=delay)
+        run_single_copy(one, frames[None])
+        assert one.chip.tick_count == frames.shape[0] + (2 - 1) * delay
+        assert not one.chip.router.has_pending()
 
 
 def test_empty_batch_returns_empty_counts(deployed_copy):
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
     counts = run_single_copy(
-        chip,
-        deployed_copy,
-        core_ids,
+        one,
         np.zeros((0, 3, deployed_copy.corelet_network.input_dim), dtype=np.int8),
     )
     assert counts.shape == (0, deployed_copy.corelet_network.num_classes)
@@ -173,12 +170,12 @@ def test_negative_leak_lif_rejected():
     from repro.truenorth.config import NeuronConfig
 
     deployed = _two_layer_network(np.random.default_rng(4))
-    chip, core_ids = single_copy_chip(
+    one = single_copy_chip(
         deployed, neuron_config=NeuronConfig(threshold=2, leak=-1, history_free=False)
     )
     frames = np.zeros((2, deployed.corelet_network.input_dim), dtype=np.int8)
     with pytest.raises(ValueError, match="leak"):
-        run_single_copy(chip, deployed, core_ids, frames[None])
+        run_single_copy(one, frames[None])
 
 
 def test_self_refiring_lif_rejected():
@@ -186,32 +183,32 @@ def test_self_refiring_lif_rejected():
     from repro.truenorth.config import NeuronConfig
 
     deployed = _two_layer_network(np.random.default_rng(5))
-    chip, core_ids = single_copy_chip(
+    one = single_copy_chip(
         deployed, neuron_config=NeuronConfig(history_free=False)  # 0 >= 0
     )
     frames = np.zeros((2, deployed.corelet_network.input_dim), dtype=np.int8)
     with pytest.raises(ValueError, match="reset"):
-        run_single_copy(chip, deployed, core_ids, frames[None])
+        run_single_copy(one, frames[None])
 
 
 def test_multi_layer_rejects_zero_router_delay():
     """Zero-delay events target an already-served tick and would be lost."""
     deployed = _two_layer_network(np.random.default_rng(3))
-    chip, core_ids = single_copy_chip(deployed)
-    chip.router.delay = 0
+    one = single_copy_chip(deployed)
+    one.chip.router.delay = 0
     frames = np.zeros((2, deployed.corelet_network.input_dim), dtype=np.int8)
     with pytest.raises(ValueError, match="router delay"):
-        run_single_copy(chip, deployed, core_ids, frames[None])
+        run_single_copy(one, frames[None])
 
 
 def test_chip_predictions_reasonable_on_training_like_input(
     deployed_copy, small_dataset
 ):
-    chip, core_ids = single_copy_chip(deployed_copy)
+    one = single_copy_chip(deployed_copy)
     encoder = StochasticEncoder(spikes_per_frame=4)
     sample = small_dataset.test.features[:1]
     frames = encoder.encode(sample, rng=0)[:, 0, :]
-    counts = run_single_copy(chip, deployed_copy, core_ids, frames[None])[0]
+    counts = run_single_copy(one, frames[None])[0]
     assert counts.shape == (deployed_copy.corelet_network.num_classes,)
     assert (counts >= 0).all()
     # Whatever the chip reports must equal the fast evaluator's raw class
