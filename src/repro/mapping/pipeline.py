@@ -723,8 +723,8 @@ def board_link_latency(
     a link with ``link_delay > 0``.
 
     Equals ``link_delay * sum(placement.transition_chip_distances(copy))``
-    maximized over ``copies``, but walks only the corelets of split copies:
-    a whole copy sits on one chip and pays no link.
+    maximized over ``copies``; only split copies are walked, since a whole
+    copy sits on one chip and pays no link.
 
     Args:
         placement: the board placement.
@@ -734,31 +734,14 @@ def board_link_latency(
     if link_delay == 0:
         return 0
     wanted = None if copies is None else set(copies)
-    assignments = placement.assignments
-    worst = 0
-    for segment in placement.segments:
-        copy = segment.copies[0]
-        if not segment.split or (wanted is not None and copy not in wanted):
-            continue
-        layer_chips: List[set] = []
-        while (copy, len(layer_chips), 0) in assignments:
-            layer = len(layer_chips)
-            chips = set()
-            index = 0
-            while (copy, layer, index) in assignments:
-                chips.add(assignments[(copy, layer, index)][0])
-                index += 1
-            layer_chips.append(chips)
-        hops = sum(
-            max(
-                abs(row_a - row_b) + abs(col_a - col_b)
-                for row_a, col_a in map(placement.chip_position, sources)
-                for row_b, col_b in map(placement.chip_position, targets)
-            )
-            for sources, targets in zip(layer_chips, layer_chips[1:])
-        )
-        worst = max(worst, hops)
-    return link_delay * worst
+    return link_delay * max(
+        (
+            sum(placement.transition_chip_distances(segment.copies[0]))
+            for segment in placement.segments
+            if segment.split and (wanted is None or segment.copies[0] in wanted)
+        ),
+        default=0,
+    )
 
 
 def run_board_inference_multicopy(

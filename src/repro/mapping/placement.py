@@ -199,20 +199,25 @@ class BoardPlacement:
         the exact per-transition term of the board-wide drain bound.  All
         zeros for a copy kept on one chip.
         """
-        by_layer: Dict[int, List[int]] = {}
-        for (c, layer, _), (chip, _, _) in self.assignments.items():
-            if c == copy:
-                by_layer.setdefault(layer, []).append(chip)
-        distances: List[int] = []
-        for layer in range(len(by_layer) - 1):
-            best = 0
-            for a in by_layer[layer]:
-                for b in by_layer[layer + 1]:
-                    row_a, col_a = self.chip_position(a)
-                    row_b, col_b = self.chip_position(b)
-                    best = max(best, abs(row_a - row_b) + abs(col_a - col_b))
-            distances.append(best)
-        return distances
+        # Corelet indices are dense per layer, so walking the copy's own
+        # (copy, layer, index) keys costs its cores, not the board's.
+        by_layer: List[set] = []
+        while (copy, len(by_layer), 0) in self.assignments:
+            layer = len(by_layer)
+            chips = set()
+            index = 0
+            while (copy, layer, index) in self.assignments:
+                chips.add(self.assignments[(copy, layer, index)][0])
+                index += 1
+            by_layer.append(chips)
+        return [
+            max(
+                abs(row_a - row_b) + abs(col_a - col_b)
+                for row_a, col_a in map(self.chip_position, sources)
+                for row_b, col_b in map(self.chip_position, targets)
+            )
+            for sources, targets in zip(by_layer, by_layer[1:])
+        ]
 
     def mesh_statistics(self) -> Dict[str, int]:
         """Inter-chip traffic statistics of the placement.

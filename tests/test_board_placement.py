@@ -14,8 +14,9 @@ inter-chip hop statistics.  These tests pin:
   ``mesh_statistics``) on placements whose worst paths are known by
   construction — these numbers feed the exact board drain bound, so they
   are asserted here, not just computed;
-* ``board_link_latency``, which walks only split copies, against its
-  per-copy definition on random placements;
+* ``transition_chip_distances``, which walks only one copy's corelets,
+  and ``board_link_latency``, which walks only split copies, against a
+  brute-force scan of every assignment on random placements;
 * ``one_chip_board``, the chip backend's sizing rule: every folded copy
   stays whole on one chip whose column count ignores the copy count.
 """
@@ -305,17 +306,20 @@ def test_board_packing_invariants(depth, copies, capacity, seed, data):
 # ----------------------------------------------------------------------
 # link latency of a placement, and the one-chip board
 # ----------------------------------------------------------------------
-def _per_copy_link_latency(placement, link_delay, copies=None):
-    """The definition: worst summed transition distance over the copies."""
-    if copies is None:
-        copies = [c for segment in placement.segments for c in segment.copies]
-    return max(
-        (
-            link_delay * sum(placement.transition_chip_distances(copy))
-            for copy in copies
-        ),
-        default=0,
-    )
+def _scanned_transition_distances(placement, copy):
+    """The definition, by brute force over every assignment of the board."""
+    by_layer = {}
+    for (c, layer, _), (chip, _, _) in placement.assignments.items():
+        if c == copy:
+            by_layer.setdefault(layer, []).append(placement.chip_position(chip))
+    return [
+        max(
+            abs(row_a - row_b) + abs(col_a - col_b)
+            for row_a, col_a in by_layer[layer]
+            for row_b, col_b in by_layer[layer + 1]
+        )
+        for layer in range(len(by_layer) - 1)
+    ]
 
 
 @given(
@@ -346,8 +350,18 @@ def test_board_link_latency_matches_per_copy_definition(
         st.none() | st.lists(st.integers(0, copies - 1), unique=True),
         label="copies",
     )
-    assert board_link_latency(placement, link_delay, subset) == (
-        _per_copy_link_latency(placement, link_delay, subset)
+    for copy in range(copies):
+        assert placement.transition_chip_distances(copy) == (
+            _scanned_transition_distances(placement, copy)
+        )
+    # Whole copies included: they must contribute zero.
+    considered = range(copies) if subset is None else subset
+    assert board_link_latency(placement, link_delay, subset) == max(
+        (
+            link_delay * sum(_scanned_transition_distances(placement, copy))
+            for copy in considered
+        ),
+        default=0,
     )
 
 
